@@ -8,8 +8,12 @@
  * with a tiny iteration count.
  *
  * Reported metrics:
- *  - GFLOP/s per masked kernel (matmul / transA / transB), reference vs
- *    tiled, at the DLRM supernet's bottom-MLP shape;
+ *  - the micro-kernel ISA variant the tiled kernels chose on this host;
+ *  - GFLOP/s per masked kernel (matmul / transA / transB) for the
+ *    reference kernels and for every micro-kernel variant the host
+ *    supports ("tiled" is the chosen one), at the DLRM supernet's
+ *    bottom-MLP shape and at the perf model's 2-wide head shape
+ *    (m x 128 x 2), where the scalar column tail does the work;
  *  - tensor allocations on the first (warm-up) supernet-style training
  *    step vs a steady-state step (target: 0);
  *  - tensor allocations per steady-state DlrmSupernet::evaluateBatch
@@ -18,6 +22,7 @@
  *  - SimCache hit/miss counters for a stream that revisits candidates.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -60,11 +65,21 @@ randomTensor(size_t rows, size_t cols, common::Rng &rng)
 struct KernelScore
 {
     double referenceGflops = 0.0;
-    double tiledGflops = 0.0;
+    double tiledGflops = 0.0; ///< the chosen variant's
+    /** Per variant, in supportedKernelIsas() order. */
+    std::vector<double> isaGflops;
     double speedup() const
     {
         return referenceGflops > 0.0 ? tiledGflops / referenceGflops : 0.0;
     }
+};
+
+/** matmul / transA / transB scores at one shape. */
+struct ShapeScores
+{
+    size_t m = 0, k = 0, n = 0;
+    size_t iters = 0;
+    KernelScore matmul, transa, transb;
 };
 
 /** Time fn(iterations) doing `flops` useful FLOPs per call. */
@@ -79,6 +94,97 @@ gflops(size_t iters, double flops_per_call, Fn &&fn)
         fn();
     double sec = secondsSince(start);
     return flops_per_call * double(iters) / sec / 1e9;
+}
+
+/**
+ * Score the three masked kernels at (m x k x n), full active masks (the
+ * worst case for the reference kernel's zero-skip, the common case for a
+ * configured candidate).
+ */
+ShapeScores
+scoreShape(size_t m, size_t k, size_t n, size_t iters, common::Rng &rng)
+{
+    ShapeScores s;
+    s.m = m;
+    s.k = k;
+    s.n = n;
+    s.iters = iters;
+    nn::Tensor a = randomTensor(m, k, rng);
+    nn::Tensor b = randomTensor(k, n, rng);
+    nn::Tensor bt = randomTensor(k, n, rng); // used transposed: C = A * B^T
+    nn::Tensor c(m, n), ct(k, n), cb(m, k), bt_scratch;
+
+    double mm_flops = 2.0 * double(m) * double(k) * double(n);
+    s.matmul.referenceGflops = gflops(iters, mm_flops, [&] {
+        nn::reference::matmulMasked(a, b, c, k, n);
+    });
+    ct.zero();
+    s.transa.referenceGflops = gflops(iters, mm_flops, [&] {
+        nn::reference::matmulTransAMasked(a, c, ct, k, n);
+    });
+    s.transb.referenceGflops = gflops(iters, mm_flops, [&] {
+        nn::reference::matmulTransBMasked(c, bt, cb, n, k);
+    });
+    for (nn::KernelIsa isa : nn::supportedKernelIsas()) {
+        s.matmul.isaGflops.push_back(gflops(iters, mm_flops, [&] {
+            nn::tiled::matmulMasked(a, b, c, k, n, false, isa);
+        }));
+        ct.zero();
+        s.transa.isaGflops.push_back(gflops(iters, mm_flops, [&] {
+            nn::tiled::matmulTransAMasked(a, c, ct, k, n, isa);
+        }));
+        s.transb.isaGflops.push_back(gflops(iters, mm_flops, [&] {
+            nn::tiled::matmulTransBMasked(c, bt, cb, n, k, false,
+                                          &bt_scratch, isa);
+        }));
+        if (isa == nn::kernelIsa()) {
+            s.matmul.tiledGflops = s.matmul.isaGflops.back();
+            s.transa.tiledGflops = s.transa.isaGflops.back();
+            s.transb.tiledGflops = s.transb.isaGflops.back();
+        }
+    }
+    return s;
+}
+
+void
+printShape(const ShapeScores &s)
+{
+    std::cout << "kernel GFLOP/s at (" << s.m << " x " << s.k << " x "
+              << s.n << "), " << s.iters << " iters:\n";
+    std::vector<nn::KernelIsa> isas = nn::supportedKernelIsas();
+    auto line = [&](const char *name, const KernelScore &k) {
+        std::cout << "  " << name << ": reference " << k.referenceGflops;
+        for (size_t i = 0; i < isas.size(); ++i)
+            std::cout << ", " << nn::kernelIsaName(isas[i]) << " "
+                      << k.isaGflops[i];
+        std::cout << " (chosen " << k.speedup() << "x reference)\n";
+    };
+    line("matmulMasked", s.matmul);
+    line("matmulTransAMasked", s.transa);
+    line("matmulTransBMasked", s.transb);
+}
+
+void
+jsonShape(std::ostream &js, const ShapeScores &s, const char *indent)
+{
+    std::vector<nn::KernelIsa> isas = nn::supportedKernelIsas();
+    auto kernel = [&](const char *name, const KernelScore &k, bool last) {
+        js << indent << "  \"" << name << "\": {\"reference\": "
+           << k.referenceGflops << ", \"tiled\": " << k.tiledGflops
+           << ", \"speedup\": " << k.speedup() << ", \"isa\": {";
+        for (size_t i = 0; i < isas.size(); ++i)
+            js << (i ? ", " : "") << "\"" << nn::kernelIsaName(isas[i])
+               << "\": " << k.isaGflops[i];
+        js << "}}" << (last ? "" : ",") << "\n";
+    };
+    js << indent << "\"shape\": {\"m\": " << s.m << ", \"k\": " << s.k
+       << ", \"n\": " << s.n << "},\n"
+       << indent << "\"iters\": " << s.iters << ",\n"
+       << indent << "\"gflops\": {\n";
+    kernel("matmul_masked", s.matmul, false);
+    kernel("matmul_transa_masked", s.transa, false);
+    kernel("matmul_transb_masked", s.transb, true);
+    js << indent << "}";
 }
 
 } // namespace
@@ -102,36 +208,13 @@ main(int argc, char **argv)
     size_t n = static_cast<size_t>(flags.getInt("n"));
     common::Rng rng(static_cast<uint64_t>(flags.getInt("seed")));
 
-    // --- Kernel A/B at supernet shapes (full active masks: the worst
-    // case for the reference kernel's zero-skip, the common case for a
-    // configured candidate).
-    nn::Tensor a = randomTensor(m, k, rng);
-    nn::Tensor b = randomTensor(k, n, rng);
-    nn::Tensor bt = randomTensor(k, n, rng); // used transposed: C = A * B^T
-    nn::Tensor c(m, n), ct(k, n), cb(m, k);
-
-    double mm_flops = 2.0 * double(m) * double(k) * double(n);
-    KernelScore matmul, transa, transb;
-    matmul.referenceGflops = gflops(iters, mm_flops, [&] {
-        nn::reference::matmulMasked(a, b, c, k, n);
-    });
-    matmul.tiledGflops = gflops(iters, mm_flops, [&] {
-        nn::tiled::matmulMasked(a, b, c, k, n);
-    });
-    ct.zero();
-    transa.referenceGflops = gflops(iters, mm_flops, [&] {
-        nn::reference::matmulTransAMasked(a, c, ct, k, n);
-    });
-    ct.zero();
-    transa.tiledGflops = gflops(iters, mm_flops, [&] {
-        nn::tiled::matmulTransAMasked(a, c, ct, k, n);
-    });
-    transb.referenceGflops = gflops(iters, mm_flops, [&] {
-        nn::reference::matmulTransBMasked(c, bt, cb, n, k);
-    });
-    transb.tiledGflops = gflops(iters, mm_flops, [&] {
-        nn::tiled::matmulTransBMasked(c, bt, cb, n, k);
-    });
+    // --- Kernel A/B: the supernet's bottom-MLP shape, then the perf
+    // model's 2-wide head at the same total FLOPs per measurement.
+    ShapeScores main_shape = scoreShape(m, k, n, iters, rng);
+    constexpr size_t kHeadK = 128, kHeadN = 2;
+    size_t head_iters = std::max<size_t>(
+        iters, iters * (k * n) / (kHeadK * kHeadN));
+    ShapeScores head_shape = scoreShape(m, kHeadK, kHeadN, head_iters, rng);
 
     // --- Allocations per training step: an MLP forward/backward at the
     // same shapes, first step (buffers grown) vs steady state (reused).
@@ -213,16 +296,10 @@ main(int argc, char **argv)
     sim::SimCacheStats cache = timer.cacheStats();
 
     // --- Report.
-    std::cout << "kernel GFLOP/s at (" << m << " x " << k << " x " << n
-              << "), " << iters << " iters:\n";
-    auto line = [](const char *name, const KernelScore &s) {
-        std::cout << "  " << name << ": reference " << s.referenceGflops
-                  << ", tiled " << s.tiledGflops << " (" << s.speedup()
-                  << "x)\n";
-    };
-    line("matmulMasked", matmul);
-    line("matmulTransAMasked", transa);
-    line("matmulTransBMasked", transb);
+    std::cout << "micro-kernel ISA: " << nn::kernelIsaName(nn::kernelIsa())
+              << "\n";
+    printShape(main_shape);
+    printShape(head_shape);
     std::cout << "allocs/step: first " << first_step_allocs
               << ", steady-state " << steady_allocs << "\n";
     std::cout << "zero-fills/step: first " << first_step_zero_fills
@@ -242,20 +319,12 @@ main(int argc, char **argv)
         return 1;
     }
     js << "{\n"
-       << "  \"shape\": {\"m\": " << m << ", \"k\": " << k << ", \"n\": "
-       << n << "},\n"
-       << "  \"iters\": " << iters << ",\n"
-       << "  \"gflops\": {\n"
-       << "    \"matmul_masked\": {\"reference\": " << matmul.referenceGflops
-       << ", \"tiled\": " << matmul.tiledGflops << ", \"speedup\": "
-       << matmul.speedup() << "},\n"
-       << "    \"matmul_transa_masked\": {\"reference\": "
-       << transa.referenceGflops << ", \"tiled\": " << transa.tiledGflops
-       << ", \"speedup\": " << transa.speedup() << "},\n"
-       << "    \"matmul_transb_masked\": {\"reference\": "
-       << transb.referenceGflops << ", \"tiled\": " << transb.tiledGflops
-       << ", \"speedup\": " << transb.speedup() << "}\n"
-       << "  },\n"
+       << "  \"kernel_isa\": \"" << nn::kernelIsaName(nn::kernelIsa())
+       << "\",\n";
+    jsonShape(js, main_shape, "  ");
+    js << ",\n  \"head\": {\n";
+    jsonShape(js, head_shape, "    ");
+    js << "\n  },\n"
        << "  \"allocs_per_step\": {\"first\": " << first_step_allocs
        << ", \"steady\": " << steady_allocs << "},\n"
        << "  \"zero_fills_per_step\": {\"first\": " << first_step_zero_fills

@@ -1,6 +1,8 @@
 #include "nn/activation.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "common/logging.h"
 #include "nn/tensor.h"
@@ -38,6 +40,43 @@ mapGradTensor(const Tensor &pre, const Tensor &grad_out, Tensor &dpre, F df)
     size_t n = pre.size();
     for (size_t i = 0; i < n; ++i)
         d[i] = g[i] * df(p[i]);
+}
+
+/**
+ * x > 0 ? on : off, picked by a bit mask rather than a branch. GCC keeps
+ * a conditional multiply such as g * (x > 0 ? 1 : 0) as a branch (the
+ * multiply could raise an FP exception), which stops the loop from
+ * vectorizing; with both operands computed up front the select does.
+ */
+float
+selectPositive(float x, float on, float off)
+{
+    uint32_t on_bits, off_bits;
+    std::memcpy(&on_bits, &on, sizeof(on_bits));
+    std::memcpy(&off_bits, &off, sizeof(off_bits));
+    uint32_t mask = -static_cast<uint32_t>(x > 0.0f);
+    uint32_t bits = (on_bits & mask) | (off_bits & ~mask);
+    float out;
+    std::memcpy(&out, &bits, sizeof(out));
+    return out;
+}
+
+/**
+ * Branch-free backward map for the ReLU family, whose derivative is 0
+ * for x <= 0 and NaN: dpre[i] = x > 0 ? on(x, g) : g * 0.0f. Bitwise
+ * equal to g * act'(x), signed zeros and NaN grads included.
+ */
+template <typename F>
+void
+mapGradPositive(const Tensor &pre, const Tensor &grad_out, Tensor &dpre,
+                F on)
+{
+    const float *p = pre.data().data();
+    const float *g = grad_out.data().data();
+    float *d = dpre.data().data();
+    size_t n = pre.size();
+    for (size_t i = 0; i < n; ++i)
+        d[i] = selectPositive(p[i], on(p[i], g[i]), g[i] * 0.0f);
 }
 
 /** Row-range, column-prefix map: out(i, j) = f(pre(i, j)). */
@@ -156,8 +195,7 @@ activateGradTensor(Activation act, const Tensor &pre, const Tensor &grad_out,
             mapGradTensor(pre, grad_out, dpre, [](float) { return 1.0f; });
         return;
       case Activation::ReLU:
-        mapGradTensor(pre, grad_out, dpre,
-                      [](float x) { return x > 0.0f ? 1.0f : 0.0f; });
+        mapGradPositive(pre, grad_out, dpre, [](float, float g) { return g; });
         return;
       case Activation::Swish:
         mapGradTensor(pre, grad_out, dpre, [](float x) {
@@ -175,8 +213,8 @@ activateGradTensor(Activation act, const Tensor &pre, const Tensor &grad_out,
         });
         return;
       case Activation::SquaredReLU:
-        mapGradTensor(pre, grad_out, dpre,
-                      [](float x) { return x > 0.0f ? 2.0f * x : 0.0f; });
+        mapGradPositive(pre, grad_out, dpre,
+                        [](float x, float g) { return g * (2.0f * x); });
         return;
       case Activation::Sigmoid:
         mapGradTensor(pre, grad_out, dpre, [](float x) {

@@ -60,7 +60,7 @@ DenseLayer::backward(const Tensor &grad_out)
         return _dx;
     }
     _dx.resizeUninitialized(_dpre.rows(), _in);
-    matmulTransBMasked(_dpre, _w, _dx, _out, _in);
+    matmulTransBMasked(_dpre, _w, _dx, _out, _in, false, &_wT);
     return _dx;
 }
 

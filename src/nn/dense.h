@@ -69,6 +69,7 @@ class DenseLayer : public Layer
     Tensor _output;  ///< cached activation output (reused across calls)
     Tensor _dpre;    ///< backward scratch (reused across calls)
     Tensor _dx;      ///< input gradient returned by backward
+    Tensor _wT;      ///< transposed-weight scratch of the dX matmul
     bool _needInputGrad = true;
 };
 

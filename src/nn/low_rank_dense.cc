@@ -71,12 +71,13 @@ LowRankDenseLayer::backward(const Tensor &grad_out)
             _bGrad[c] += _dpre.at(r, c);
 
     _dh.resizeUninitialized(_dpre.rows(), _activeRank);
-    matmulTransBMasked(_dpre, _v, _dh, _activeOut, _activeRank);
+    matmulTransBMasked(_dpre, _v, _dh, _activeOut, _activeRank, false,
+                       &_wT);
 
     // dU += X^T dH ; dX = dH U^T
     matmulTransAMasked(*_input, _dh, _uGrad, _activeIn, _activeRank);
     _dx.resizeUninitialized(_dpre.rows(), _activeIn);
-    matmulTransBMasked(_dh, _u, _dx, _activeRank, _activeIn);
+    matmulTransBMasked(_dh, _u, _dx, _activeRank, _activeIn, false, &_wT);
     return _dx;
 }
 

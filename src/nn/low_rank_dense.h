@@ -82,6 +82,7 @@ class LowRankDenseLayer : public Layer
     Tensor _dpre; ///< backward scratch (reused across calls)
     Tensor _dh;   ///< hidden gradient scratch
     Tensor _dx;   ///< input gradient returned by backward
+    Tensor _wT;   ///< transposed-factor scratch of the dH and dX matmuls
 };
 
 } // namespace h2o::nn

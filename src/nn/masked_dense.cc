@@ -68,7 +68,7 @@ MaskedDenseLayer::backward(const Tensor &grad_out)
             _bGrad[c] += _dpre.at(r, c);
 
     _dx.resizeUninitialized(_dpre.rows(), _activeIn);
-    matmulTransBMasked(_dpre, _w, _dx, _activeOut, _activeIn);
+    matmulTransBMasked(_dpre, _w, _dx, _activeOut, _activeIn, false, &_wT);
     return _dx;
 }
 

@@ -84,6 +84,7 @@ class MaskedDenseLayer : public Layer
     Tensor _output;
     Tensor _dpre; ///< backward scratch (reused across calls)
     Tensor _dx;   ///< input gradient returned by backward
+    Tensor _wT;   ///< transposed-weight scratch of the dX matmul
 };
 
 } // namespace h2o::nn

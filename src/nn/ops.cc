@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 
 #include "common/logging.h"
+#include "nn/gemm.h"
 
 namespace h2o::nn {
 
@@ -91,7 +93,87 @@ applyEnvOverride()
     return true;
 }
 
+using GemmFn = void (*)(const gemm::Args &);
+
+/** The micro-kernel variants this host can run, indexed by KernelIsa
+ *  (null where unsupported), and the widest of them. */
+struct IsaTable
+{
+    GemmFn fn[3] = {};
+    KernelIsa widest = KernelIsa::Baseline;
+};
+
+const IsaTable &
+isaTable()
+{
+    static const IsaTable table = [] {
+        IsaTable t;
+        t.fn[size_t(KernelIsa::Baseline)] = gemm::runBaseline;
+#if defined(H2O_GEMM_AVX2) || defined(H2O_GEMM_AVX512F)
+        __builtin_cpu_init();
+#endif
+#ifdef H2O_GEMM_AVX2
+        if (__builtin_cpu_supports("avx2")) {
+            t.fn[size_t(KernelIsa::Avx2)] = gemm::runAvx2;
+            t.widest = KernelIsa::Avx2;
+        }
+#endif
+#ifdef H2O_GEMM_AVX512F
+        if (__builtin_cpu_supports("avx512f")) {
+            t.fn[size_t(KernelIsa::Avx512f)] = gemm::runAvx512f;
+            t.widest = KernelIsa::Avx512f;
+        }
+#endif
+        return t;
+    }();
+    return table;
+}
+
+GemmFn
+gemmFor(KernelIsa isa)
+{
+    GemmFn fn = isaTable().fn[size_t(isa)];
+    h2o_assert(fn, "kernel ISA ", kernelIsaName(isa),
+               " is not supported on this host");
+    return fn;
+}
+
 } // namespace
+
+const char *
+kernelIsaName(KernelIsa isa)
+{
+    switch (isa) {
+      case KernelIsa::Baseline:
+#if defined(__x86_64__)
+        return "sse2";
+#else
+        return "baseline";
+#endif
+      case KernelIsa::Avx2:
+        return "avx2";
+      case KernelIsa::Avx512f:
+        return "avx512f";
+    }
+    h2o_panic("unhandled kernel ISA");
+}
+
+std::vector<KernelIsa>
+supportedKernelIsas()
+{
+    std::vector<KernelIsa> isas;
+    for (KernelIsa isa :
+         {KernelIsa::Baseline, KernelIsa::Avx2, KernelIsa::Avx512f})
+        if (isaTable().fn[size_t(isa)])
+            isas.push_back(isa);
+    return isas;
+}
+
+KernelIsa
+kernelIsa()
+{
+    return isaTable().widest;
+}
 
 void
 setKernelImpl(KernelImpl impl)
@@ -280,93 +362,123 @@ matmulTransBMasked(const Tensor &a, const Tensor &b, Tensor &c, size_t n_act,
 } // namespace reference
 
 // ---------------------------------------------------------------------------
-// Tiled kernels.
-//
-// The blocking schedule is a compile-time constant (kRowTile rows of the
-// left operand per micro-kernel, kColTile output columns per block, k
-// strictly ascending inside each block), so for a given shape every run —
-// at any thread count — performs the identical sequence of FP operations
-// per output element. That is the determinism contract: bit-identical
-// repeats for the tiled impl, ~1e-5 agreement vs the reference impl
-// (whose summation order differs).
+// Tiled kernels. The matmul family maps onto the micro-kernel of gemm.h,
+// whose per-element operation sequence is the reference kernels'.
 // ---------------------------------------------------------------------------
 
 namespace tiled {
 
 namespace {
 
-/** Rows of the left operand processed together by a micro-kernel. */
-constexpr size_t kRowTile = 4;
-/** Output columns per register block; 64 floats = one cache-resident
- *  strip that still leaves room for kRowTile accumulator rows in L1. */
+/** Columns per strip of the embedding kernels' stack accumulators. */
 constexpr size_t kColTile = 64;
 
-/** The tiled matmulMasked loops over an explicit row range. Row tiling
- *  restarts at row0, but per output element the contraction is k
- *  ascending regardless of tile position — so the grouped entry point
- *  is bitwise identical to per-candidate calls. */
-void
-matmulMaskedRows(const Tensor &a, const Tensor &b, Tensor &c, size_t row0,
-                 size_t rows, size_t k_act, size_t n_act, bool accumulate)
+/**
+ * True when rows [row0, row0 + rows) x columns [0, n) of C hold a -0.
+ * The reference kernels skip a term whose A value is zero; adding it
+ * instead, as the micro-kernel does, adds +-0, which leaves every
+ * accumulator but -0 unchanged. An accumulator that starts at +0 can
+ * never become -0, so only a -0 already in C at the start of an
+ * accumulating call can tell the two apart. Such calls (rare: gradient
+ * buffers are zeroed to +0) run the reference loops.
+ */
+bool
+hasNegativeZero(const Tensor &c, size_t row0, size_t rows, size_t n)
 {
-    const float *ad = a.data().data();
-    const float *bd = b.data().data();
-    float *cd = c.data().data();
-    size_t ka = a.cols(), nb = b.cols(), nc = c.cols();
-
-    for (size_t i0 = row0; i0 < row0 + rows; i0 += kRowTile) {
-        size_t rt = std::min(kRowTile, row0 + rows - i0);
-        for (size_t j0 = 0; j0 < n_act; j0 += kColTile) {
-            size_t jt = std::min(kColTile, n_act - j0);
-            float acc[kRowTile][kColTile];
-            for (size_t r = 0; r < rt; ++r) {
-                float *crow = cd + (i0 + r) * nc + j0;
-                if (accumulate) {
-                    for (size_t j = 0; j < jt; ++j)
-                        acc[r][j] = crow[j];
-                } else {
-                    for (size_t j = 0; j < jt; ++j)
-                        acc[r][j] = 0.0f;
-                }
-            }
-            // k ascending for every C element: fixed summation order.
-            for (size_t k = 0; k < k_act; ++k) {
-                const float *brow = bd + k * nb + j0;
-                for (size_t r = 0; r < rt; ++r) {
-                    float av = ad[(i0 + r) * ka + k];
-                    float *arow = acc[r];
-#pragma omp simd
-                    for (size_t j = 0; j < jt; ++j)
-                        arow[j] += av * brow[j];
-                }
-            }
-            for (size_t r = 0; r < rt; ++r) {
-                float *crow = cd + (i0 + r) * nc + j0;
-                for (size_t j = 0; j < jt; ++j)
-                    crow[j] = acc[r][j];
-            }
+    const float *cd = c.data().data();
+    size_t ld = c.cols();
+    uint32_t found = 0; // an integer, not a bool, so the loop vectorizes
+    for (size_t i = row0; i < row0 + rows; ++i) {
+        const float *row = cd + i * ld;
+        for (size_t j = 0; j < n; ++j) {
+            uint32_t bits;
+            std::memcpy(&bits, row + j, sizeof(bits));
+            found |= uint32_t(bits == 0x80000000u);
         }
     }
+    return found != 0;
+}
+
+/** The tiled matmulMasked over an explicit row range. Per output element
+ *  the contraction is k ascending wherever the rows start, so the grouped
+ *  entry point is bitwise identical to per-candidate calls. */
+void
+matmulMaskedRows(const Tensor &a, const Tensor &b, Tensor &c, size_t row0,
+                 size_t rows, size_t k_act, size_t n_act, bool accumulate,
+                 KernelIsa isa)
+{
+    GemmFn gemm_fn = gemmFor(isa);
+    if (accumulate && hasNegativeZero(c, row0, rows, n_act)) {
+        MaskGroup g{row0, rows, k_act, n_act};
+        reference::matmulMaskedGrouped(a, b, c, {&g, 1}, true);
+        return;
+    }
+    gemm_fn({a.data().data() + row0 * a.cols(), a.cols(), 1,
+             b.data().data(), b.cols(), c.data().data() + row0 * c.cols(),
+             c.cols(), rows, n_act, k_act,
+             accumulate ? gemm::Mode::Accumulate : gemm::Mode::Overwrite});
 }
 
 } // namespace
 
 void
 matmulMasked(const Tensor &a, const Tensor &b, Tensor &c, size_t k_act,
-             size_t n_act, bool accumulate)
+             size_t n_act, bool accumulate, KernelIsa isa)
 {
     checkMatmulMasked(a, b, c, k_act, n_act);
-    matmulMaskedRows(a, b, c, 0, a.rows(), k_act, n_act, accumulate);
+    matmulMaskedRows(a, b, c, 0, a.rows(), k_act, n_act, accumulate, isa);
 }
 
 void
 matmulMaskedGrouped(const Tensor &a, const Tensor &b, Tensor &c,
-                    std::span<const MaskGroup> groups, bool accumulate)
+                    std::span<const MaskGroup> groups, bool accumulate,
+                    KernelIsa isa)
 {
     checkGrouped(a, b, c, groups);
     for (const MaskGroup &g : groups)
         matmulMaskedRows(a, b, c, g.rowBegin, g.rows, g.kAct, g.nAct,
-                         accumulate);
+                         accumulate, isa);
+}
+
+void
+matmulTransAMasked(const Tensor &a, const Tensor &b, Tensor &c, size_t k_act,
+                   size_t n_act, KernelIsa isa)
+{
+    checkMatmulTransAMasked(a, b, c, k_act, n_act);
+    GemmFn gemm_fn = gemmFor(isa);
+    if (hasNegativeZero(c, 0, k_act, n_act)) {
+        reference::matmulTransAMasked(a, b, c, k_act, n_act);
+        return;
+    }
+    // C[k, j] += sum_i A[i, k] * B[i, j]: A read column-major, the batch
+    // index i as the contraction.
+    gemm_fn({a.data().data(), 1, a.cols(), b.data().data(), b.cols(),
+             c.data().data(), c.cols(), k_act, n_act, a.rows(),
+             gemm::Mode::Accumulate});
+}
+
+void
+matmulTransBMasked(const Tensor &a, const Tensor &b, Tensor &c, size_t n_act,
+                   size_t k_act, bool accumulate, Tensor *bt_scratch,
+                   KernelIsa isa)
+{
+    checkMatmulTransBMasked(a, b, c, n_act, k_act);
+    GemmFn gemm_fn = gemmFor(isa);
+    // C = A * B^T: copy the active block of B transposed, so the
+    // micro-kernel loads contiguous output columns, and contract over j
+    // ascending from a zero accumulator, as the reference dot products do.
+    Tensor local;
+    Tensor &bt = bt_scratch ? *bt_scratch : local;
+    bt.resizeUninitialized(n_act, k_act);
+    const float *bd = b.data().data();
+    float *td = bt.data().data();
+    size_t nb = b.cols();
+    for (size_t k = 0; k < k_act; ++k)
+        for (size_t j = 0; j < n_act; ++j)
+            td[j * k_act + k] = bd[k * nb + j];
+    gemm_fn({a.data().data(), a.cols(), 1, td, k_act, c.data().data(),
+             c.cols(), a.rows(), k_act, n_act,
+             accumulate ? gemm::Mode::AddProduct : gemm::Mode::Overwrite});
 }
 
 void
@@ -441,115 +553,6 @@ embeddingScatterAdd(const Tensor &grad_out, std::span<const uint32_t> rows,
     }
 }
 
-void
-matmulTransAMasked(const Tensor &a, const Tensor &b, Tensor &c, size_t k_act,
-                   size_t n_act)
-{
-    checkMatmulTransAMasked(a, b, c, k_act, n_act);
-    size_t m = a.rows();
-    const float *ad = a.data().data();
-    const float *bd = b.data().data();
-    float *cd = c.data().data();
-    size_t ka = a.cols(), nb = b.cols(), nc = c.cols();
-
-    // C[k, j] += sum_i A[i, k] * B[i, j]; block (k, j) output tiles and
-    // stream the batch dimension i through each tile, i ascending — the
-    // same per-element order as the reference kernel.
-    for (size_t k0 = 0; k0 < k_act; k0 += kRowTile) {
-        size_t kt = std::min(kRowTile, k_act - k0);
-        for (size_t j0 = 0; j0 < n_act; j0 += kColTile) {
-            size_t jt = std::min(kColTile, n_act - j0);
-            float acc[kRowTile][kColTile];
-            for (size_t r = 0; r < kt; ++r) {
-                const float *crow = cd + (k0 + r) * nc + j0;
-                for (size_t j = 0; j < jt; ++j)
-                    acc[r][j] = crow[j];
-            }
-            for (size_t i = 0; i < m; ++i) {
-                const float *arow = ad + i * ka + k0;
-                const float *brow = bd + i * nb + j0;
-                for (size_t r = 0; r < kt; ++r) {
-                    float av = arow[r];
-                    float *accr = acc[r];
-#pragma omp simd
-                    for (size_t j = 0; j < jt; ++j)
-                        accr[j] += av * brow[j];
-                }
-            }
-            for (size_t r = 0; r < kt; ++r) {
-                float *crow = cd + (k0 + r) * nc + j0;
-                for (size_t j = 0; j < jt; ++j)
-                    crow[j] = acc[r][j];
-            }
-        }
-    }
-}
-
-void
-matmulTransBMasked(const Tensor &a, const Tensor &b, Tensor &c, size_t n_act,
-                   size_t k_act, bool accumulate)
-{
-    checkMatmulTransBMasked(a, b, c, n_act, k_act);
-    size_t m = a.rows();
-    const float *ad = a.data().data();
-    const float *bd = b.data().data();
-    float *cd = c.data().data();
-    size_t na = a.cols(), nb = b.cols(), kc = c.cols();
-
-    // C[i, k] = dot(A row i, B row k): process kRowTile A-rows per pass so
-    // each B row is loaded once per pass, with independent simd
-    // reductions per dot product (fixed contraction order per element).
-    for (size_t i0 = 0; i0 < m; i0 += kRowTile) {
-        size_t rt = std::min(kRowTile, m - i0);
-        if (rt == kRowTile) {
-            const float *a0 = ad + (i0 + 0) * na;
-            const float *a1 = ad + (i0 + 1) * na;
-            const float *a2 = ad + (i0 + 2) * na;
-            const float *a3 = ad + (i0 + 3) * na;
-            for (size_t k = 0; k < k_act; ++k) {
-                const float *brow = bd + k * nb;
-                float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
-#pragma omp simd reduction(+ : s0, s1, s2, s3)
-                for (size_t j = 0; j < n_act; ++j) {
-                    float bv = brow[j];
-                    s0 += a0[j] * bv;
-                    s1 += a1[j] * bv;
-                    s2 += a2[j] * bv;
-                    s3 += a3[j] * bv;
-                }
-                float *col = cd + i0 * kc + k;
-                if (accumulate) {
-                    col[0 * kc] += s0;
-                    col[1 * kc] += s1;
-                    col[2 * kc] += s2;
-                    col[3 * kc] += s3;
-                } else {
-                    col[0 * kc] = s0;
-                    col[1 * kc] = s1;
-                    col[2 * kc] = s2;
-                    col[3 * kc] = s3;
-                }
-            }
-        } else {
-            for (size_t r = 0; r < rt; ++r) {
-                const float *arow = ad + (i0 + r) * na;
-                float *crow = cd + (i0 + r) * kc;
-                for (size_t k = 0; k < k_act; ++k) {
-                    const float *brow = bd + k * nb;
-                    float s = 0.0f;
-#pragma omp simd reduction(+ : s)
-                    for (size_t j = 0; j < n_act; ++j)
-                        s += arow[j] * brow[j];
-                    if (accumulate)
-                        crow[k] += s;
-                    else
-                        crow[k] = s;
-                }
-            }
-        }
-    }
-}
-
 } // namespace tiled
 
 // ---------------------------------------------------------------------------
@@ -578,10 +581,11 @@ matmulTransAMasked(const Tensor &a, const Tensor &b, Tensor &c, size_t k_act,
 
 void
 matmulTransBMasked(const Tensor &a, const Tensor &b, Tensor &c, size_t n_act,
-                   size_t k_act, bool accumulate)
+                   size_t k_act, bool accumulate, Tensor *bt_scratch)
 {
     if (kernelImpl() == KernelImpl::Tiled)
-        tiled::matmulTransBMasked(a, b, c, n_act, k_act, accumulate);
+        tiled::matmulTransBMasked(a, b, c, n_act, k_act, accumulate,
+                                  bt_scratch);
     else
         reference::matmulTransBMasked(a, b, c, n_act, k_act, accumulate);
 }

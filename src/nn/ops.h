@@ -6,21 +6,31 @@
  * of a larger shared weight matrix touches only the upper-left sub-matrix,
  * exactly as described for the DLRM super-network (Figure 3, mask (3)).
  *
- * Two implementations back every kernel:
+ * Two implementations back every kernel, and on finite inputs they give
+ * the same bits:
  *
- *  - `Tiled` (default): register-tiled, cache-blocked loops with
- *    `omp simd` vectorization hints. The blocking schedule is fixed at
- *    compile time and never depends on runtime state, so results are
- *    deterministic run-to-run and bit-identical at any `--threads`
- *    setting (kernels are single-threaded; parallelism lives in
- *    `h2o::exec`, whose ordered aggregation preserves FP order).
- *  - `Reference`: the original scalar loops, kept for A/B testing and as
- *    the correctness oracle in `tests/test_nn_kernels.cc`.
+ *  - `Tiled` (default): the three matmul kernels run one register-blocked
+ *    outer-product micro-kernel (nn/gemm.h). It keeps a tile of 6 or 8
+ *    rows of accumulator vectors in registers and, for every output element,
+ *    computes acc = 0 (or C), then acc = acc + a * b with the contraction
+ *    index ascending — the reference kernels' order, one IEEE multiply
+ *    and one IEEE add per term. matmulTransBMasked runs it on a
+ *    transposed copy of the active block of B. The micro-kernel is built
+ *    for SSE2, AVX2 and AVX-512F; the widest variant the CPU supports is
+ *    picked once, on first use (kernelIsa()). No variant uses FMA (the nn
+ *    library is compiled with -ffp-contract=off), so the ISA, like the
+ *    H2O_NATIVE build option, changes speed but never a result bit.
+ *  - `Reference`: the original scalar loops, kept as the correctness
+ *    oracle in `tests/test_nn_kernels.cc`.
  *
  * Select with setKernelImpl() or the H2O_KERNELS environment variable
  * ("tiled" / "reference", read once at startup). Tiled and reference
- * results agree to ~1e-5 relative (FP summation order differs), and each
- * implementation individually is exactly deterministic.
+ * agree bitwise on finite inputs; they differ only where the reference
+ * kernels skip a term whose A value is zero, which matters when the
+ * skipped B value is infinite or NaN. Kernels are single-threaded and
+ * deterministic, so results are bit-identical at any `--threads` setting
+ * (parallelism lives in `h2o::exec`, whose ordered aggregation preserves
+ * FP order).
  */
 
 #ifndef H2O_NN_OPS_H
@@ -30,6 +40,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "nn/tensor.h"
 
@@ -38,7 +49,7 @@ namespace h2o::nn {
 /** Kernel implementation selector. */
 enum class KernelImpl
 {
-    Tiled,     ///< register-tiled + vectorized (default)
+    Tiled,     ///< register-blocked micro-kernel (default)
     Reference, ///< original scalar loops (A/B oracle)
 };
 
@@ -53,6 +64,25 @@ KernelImpl kernelImplFromName(const std::string &name);
 
 /** Human-readable implementation name. */
 const char *kernelImplName(KernelImpl impl);
+
+/** A build of the tiled matmul micro-kernel for one vector ISA. */
+enum class KernelIsa
+{
+    Baseline, ///< SSE2 on x86-64; the target's default ISA elsewhere
+    Avx2,     ///< AVX2, without FMA
+    Avx512f,  ///< AVX-512F, without FMA
+};
+
+/** "sse2" (or "baseline" off x86-64), "avx2", "avx512f". */
+const char *kernelIsaName(KernelIsa isa);
+
+/** The variants this build contains and this CPU can run, narrowest
+ *  first. Always holds Baseline. */
+std::vector<KernelIsa> supportedKernelIsas();
+
+/** The variant the tiled kernels use: the widest supported one, chosen
+ *  on first use. Every variant gives the same bits. */
+KernelIsa kernelIsa();
 
 /**
  * C[m,n] = (or +=) A[m,k] * B[k,n], restricted to the active sub-ranges
@@ -78,12 +108,16 @@ void matmulTransAMasked(const Tensor &a, const Tensor &b, Tensor &c,
  * written.
  *
  * @param accumulate When false (default), the active region of C is
- *        overwritten — callers no longer need to pre-zero C. Pass true
- *        for the historical read-modify-write behavior.
+ *        overwritten — callers no longer need to pre-zero C. When true,
+ *        each dot product is formed from zero and then added to C.
+ * @param bt_scratch Where the tiled kernel puts its transposed copy of
+ *        the active block of B (n_act x k_act). Layers pass a buffer they
+ *        own so steady-state steps do not allocate; when null the kernel
+ *        uses a temporary.
  */
 void matmulTransBMasked(const Tensor &a, const Tensor &b, Tensor &c,
-                        size_t n_act, size_t k_act,
-                        bool accumulate = false);
+                        size_t n_act, size_t k_act, bool accumulate = false,
+                        Tensor *bt_scratch = nullptr);
 
 /**
  * One candidate's row range and active dimensions inside a *packed*
@@ -181,19 +215,27 @@ void embeddingScatterAdd(const Tensor &grad_out,
 
 } // namespace reference
 
-/** Tiled kernels, callable directly (used by the A/B micro-benchmark). */
+/**
+ * Tiled kernels, callable directly. The matmul kernels run on the given
+ * micro-kernel variant (default: kernelIsa()), so tests and benches can
+ * cover every variant the host supports.
+ */
 namespace tiled {
 
 void matmulMasked(const Tensor &a, const Tensor &b, Tensor &c, size_t k_act,
-                  size_t n_act, bool accumulate = false);
+                  size_t n_act, bool accumulate = false,
+                  KernelIsa isa = kernelIsa());
 void matmulTransAMasked(const Tensor &a, const Tensor &b, Tensor &c,
-                        size_t k_act, size_t n_act);
+                        size_t k_act, size_t n_act,
+                        KernelIsa isa = kernelIsa());
 void matmulTransBMasked(const Tensor &a, const Tensor &b, Tensor &c,
-                        size_t n_act, size_t k_act,
-                        bool accumulate = false);
+                        size_t n_act, size_t k_act, bool accumulate = false,
+                        Tensor *bt_scratch = nullptr,
+                        KernelIsa isa = kernelIsa());
 void matmulMaskedGrouped(const Tensor &a, const Tensor &b, Tensor &c,
                          std::span<const MaskGroup> groups,
-                         bool accumulate = false);
+                         bool accumulate = false,
+                         KernelIsa isa = kernelIsa());
 void embeddingGatherPooled(const Tensor &table,
                            std::span<const uint32_t> rows,
                            std::span<const size_t> offsets,

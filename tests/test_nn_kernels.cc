@@ -1,8 +1,11 @@
 /**
  * @file
  * A/B tests for the tiled matmul kernels against the reference scalar
- * kernels, plus the determinism contract: tiled results are bitwise
- * reproducible run-to-run and bit-identical across exec thread counts.
+ * kernels: every micro-kernel ISA variant the host supports must give
+ * the reference kernels' bits, on ragged and masked shapes, in every
+ * accumulate mode. Plus the determinism contract: tiled results are
+ * bitwise reproducible run-to-run and bit-identical across exec thread
+ * counts.
  */
 
 #include <cmath>
@@ -15,7 +18,10 @@
 #include "exec/shard_runner.h"
 #include "exec/thread_pool.h"
 #include "nn/activation.h"
+#include "nn/loss.h"
+#include "nn/mlp.h"
 #include "nn/ops.h"
+#include "nn/optimizer.h"
 #include "nn/tensor.h"
 
 using namespace h2o;
@@ -36,16 +42,14 @@ randomTensor(size_t rows, size_t cols, common::Rng &rng,
     return t;
 }
 
-/** |tiled - ref| <= tol * max(1, |ref|), element-wise over the storage. */
-void
-expectClose(const nn::Tensor &tiled, const nn::Tensor &ref, double tol)
+bool
+sameBits(const nn::Tensor &a, const nn::Tensor &b)
 {
-    ASSERT_EQ(tiled.size(), ref.size());
-    for (size_t i = 0; i < ref.size(); ++i) {
-        double r = ref[i];
-        double bound = tol * std::max(1.0, std::abs(r));
-        EXPECT_NEAR(tiled[i], r, bound) << "element " << i;
-    }
+    // memcmp must not see the null data pointer of an empty tensor.
+    return a.size() == b.size() &&
+           (a.size() == 0 ||
+            std::memcmp(a.data().data(), b.data().data(),
+                        a.size() * sizeof(float)) == 0);
 }
 
 void
@@ -66,7 +70,8 @@ randomShapes(common::Rng &rng, size_t count)
 {
     std::vector<Shape> shapes;
     // Fixed corner cases: single element, sub-tile, exact tile multiples,
-    // and ragged remainders around the 4x64 blocking schedule.
+    // and ragged remainders around the 6- and 8-row, 4-to-32-column
+    // tiles.
     shapes.push_back({1, 1, 1, 1, 1});
     shapes.push_back({3, 5, 7, 2, 4});
     shapes.push_back({4, 16, 64, 16, 64});
@@ -88,22 +93,35 @@ randomShapes(common::Rng &rng, size_t count)
 
 } // namespace
 
+TEST(NnKernels, KernelIsaIsWidestSupportedVariant)
+{
+    std::vector<nn::KernelIsa> isas = nn::supportedKernelIsas();
+    ASSERT_FALSE(isas.empty());
+    EXPECT_EQ(isas.front(), nn::KernelIsa::Baseline);
+    EXPECT_EQ(nn::kernelIsa(), isas.back());
+    for (nn::KernelIsa isa : isas)
+        EXPECT_STRNE(nn::kernelIsaName(isa), "");
+}
+
 TEST(NnKernels, TiledMatmulMaskedMatchesReference)
 {
     common::Rng rng(1234);
     for (const Shape &s : randomShapes(rng, 24)) {
         // Masked-weight sparsity exercises the reference kernel's
-        // zero-skip path against the tiled kernel's dense path.
+        // zero-skip path against the micro-kernel's dense path.
         nn::Tensor a = randomTensor(s.m, s.k, rng, 0.3);
         nn::Tensor b = randomTensor(s.k, s.n, rng, 0.3);
         for (bool accumulate : {false, true}) {
-            nn::Tensor c_ref = randomTensor(s.m, s.n, rng);
-            nn::Tensor c_tiled = c_ref; // same starting contents
+            nn::Tensor c0 = randomTensor(s.m, s.n, rng);
+            nn::Tensor c_ref = c0;
             nn::reference::matmulMasked(a, b, c_ref, s.k_act, s.n_act,
                                         accumulate);
-            nn::tiled::matmulMasked(a, b, c_tiled, s.k_act, s.n_act,
-                                    accumulate);
-            expectClose(c_tiled, c_ref, 1e-5);
+            for (nn::KernelIsa isa : nn::supportedKernelIsas()) {
+                nn::Tensor c_tiled = c0; // same starting contents
+                nn::tiled::matmulMasked(a, b, c_tiled, s.k_act, s.n_act,
+                                        accumulate, isa);
+                expectBitIdentical(c_tiled, c_ref);
+            }
         }
     }
 }
@@ -114,29 +132,142 @@ TEST(NnKernels, TiledMatmulTransAMaskedMatchesReference)
     for (const Shape &s : randomShapes(rng, 24)) {
         nn::Tensor a = randomTensor(s.m, s.k, rng, 0.3); // A[m,k]
         nn::Tensor b = randomTensor(s.m, s.n, rng, 0.3); // B[m,n]
-        nn::Tensor c_ref = randomTensor(s.k, s.n, rng);  // C[k,n] +=
-        nn::Tensor c_tiled = c_ref;
+        nn::Tensor c0 = randomTensor(s.k, s.n, rng);     // C[k,n] +=
+        nn::Tensor c_ref = c0;
         nn::reference::matmulTransAMasked(a, b, c_ref, s.k_act, s.n_act);
-        nn::tiled::matmulTransAMasked(a, b, c_tiled, s.k_act, s.n_act);
-        expectClose(c_tiled, c_ref, 1e-5);
+        for (nn::KernelIsa isa : nn::supportedKernelIsas()) {
+            nn::Tensor c_tiled = c0;
+            nn::tiled::matmulTransAMasked(a, b, c_tiled, s.k_act, s.n_act,
+                                          isa);
+            expectBitIdentical(c_tiled, c_ref);
+        }
     }
 }
 
 TEST(NnKernels, TiledMatmulTransBMaskedMatchesReference)
 {
     common::Rng rng(3456);
+    nn::Tensor bt_scratch;
     for (const Shape &s : randomShapes(rng, 24)) {
         nn::Tensor a = randomTensor(s.m, s.n, rng, 0.3); // A[m,n]
         nn::Tensor b = randomTensor(s.k, s.n, rng, 0.3); // B[k,n], used ^T
         for (bool accumulate : {false, true}) {
-            nn::Tensor c_ref = randomTensor(s.m, s.k, rng);
-            nn::Tensor c_tiled = c_ref;
+            nn::Tensor c0 = randomTensor(s.m, s.k, rng);
+            nn::Tensor c_ref = c0;
             nn::reference::matmulTransBMasked(a, b, c_ref, s.n_act,
                                               s.k_act, accumulate);
-            nn::tiled::matmulTransBMasked(a, b, c_tiled, s.n_act, s.k_act,
-                                          accumulate);
-            expectClose(c_tiled, c_ref, 1e-5);
+            for (nn::KernelIsa isa : nn::supportedKernelIsas()) {
+                nn::Tensor c_tiled = c0;
+                nn::tiled::matmulTransBMasked(a, b, c_tiled, s.n_act,
+                                              s.k_act, accumulate,
+                                              &bt_scratch, isa);
+                expectBitIdentical(c_tiled, c_ref);
+            }
         }
+    }
+}
+
+// Every variant against the reference on every combination of ragged
+// sizes around the tile edges, including empty ones. The tensors are
+// wider than the active sub-ranges (row strides above the active
+// widths), a third of A is exact zeros (the reference kernels skip
+// those terms), and every column past the active range must come out
+// untouched — the whole storage is compared.
+TEST(NnKernels, EveryIsaMatchesReferenceOnRaggedShapes)
+{
+    const size_t sizes[] = {0,  1,  2,  3,  5,  7,  8,  9,
+                            15, 16, 17, 31, 33, 87, 128};
+    const std::vector<nn::KernelIsa> isas = nn::supportedKernelIsas();
+    common::Rng rng(4242);
+    nn::Tensor bt_scratch;
+    size_t mismatches = 0;
+    auto check = [&](const nn::Tensor &got, const nn::Tensor &want,
+                     const char *kernel, nn::KernelIsa isa, size_t m,
+                     size_t k, size_t n) {
+        if (sameBits(got, want))
+            return;
+        if (++mismatches <= 10)
+            ADD_FAILURE() << kernel << " on " << nn::kernelIsaName(isa)
+                          << " differs at m=" << m << " k_act=" << k
+                          << " n_act=" << n;
+    };
+    for (size_t m : sizes) {
+        for (size_t k : sizes) {
+            for (size_t n : sizes) {
+                nn::Tensor a = randomTensor(m, k + 3, rng, 0.3);
+                nn::Tensor b = randomTensor(k + 2, n + 5, rng);
+                nn::Tensor c0 = randomTensor(m, n + 4, rng);
+                for (bool acc : {false, true}) {
+                    nn::Tensor want = c0;
+                    nn::reference::matmulMasked(a, b, want, k, n, acc);
+                    for (nn::KernelIsa isa : isas) {
+                        nn::Tensor got = c0;
+                        nn::tiled::matmulMasked(a, b, got, k, n, acc, isa);
+                        check(got, want, "matmulMasked", isa, m, k, n);
+                    }
+                }
+
+                // dW += X^T dY: X[m, k], dY[m, n], dW[k, n].
+                nn::Tensor dy = randomTensor(m, n + 5, rng, 0.3);
+                nn::Tensor dw0 = randomTensor(k + 2, n + 4, rng);
+                nn::Tensor dw_want = dw0;
+                nn::reference::matmulTransAMasked(a, dy, dw_want, k, n);
+                for (nn::KernelIsa isa : isas) {
+                    nn::Tensor got = dw0;
+                    nn::tiled::matmulTransAMasked(a, dy, got, k, n, isa);
+                    check(got, dw_want, "matmulTransAMasked", isa, m, k, n);
+                }
+
+                // dX = dY W^T: dY[m, n], W[k, n], dX[m, k].
+                nn::Tensor dx0 = randomTensor(m, k + 4, rng);
+                for (bool acc : {false, true}) {
+                    nn::Tensor want = dx0;
+                    nn::reference::matmulTransBMasked(dy, b, want, n, k,
+                                                      acc);
+                    for (nn::KernelIsa isa : isas) {
+                        nn::Tensor got = dx0;
+                        nn::tiled::matmulTransBMasked(dy, b, got, n, k, acc,
+                                                      &bt_scratch, isa);
+                        check(got, want, "matmulTransBMasked", isa, m, k, n);
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(mismatches, 0u);
+}
+
+// A -0 already in C is the one value that tells adding a zero term
+// (what the micro-kernel does) from skipping it (what the reference
+// kernels do): -0 + +0 is +0. The tiled kernels detect it and keep the
+// reference bits.
+TEST(NnKernels, NegativeZeroAccumulatorsMatchReference)
+{
+    common::Rng rng(5151);
+    nn::Tensor a = randomTensor(9, 12, rng, 0.5);
+    for (size_t j = 0; j < a.cols(); ++j)
+        a.at(2, j) = 0.0f; // row 2 contributes only zero terms
+    for (size_t i = 0; i < a.rows(); ++i)
+        a.at(i, 5) = 0.0f; // column 5 too
+    nn::Tensor b = randomTensor(12, 20, rng);
+    nn::Tensor c0(9, 20);
+    for (size_t i = 0; i < c0.size(); ++i)
+        c0[i] = -0.0f;
+    nn::Tensor dw0(12, 20);
+    for (size_t i = 0; i < dw0.size(); ++i)
+        dw0[i] = i % 3 == 0 ? -0.0f : 0.0f;
+    nn::Tensor dy = randomTensor(9, 20, rng, 0.5);
+
+    nn::Tensor c_want = c0, dw_want = dw0;
+    nn::reference::matmulMasked(a, b, c_want, 12, 20, true);
+    nn::reference::matmulTransAMasked(a, dy, dw_want, 12, 20);
+    EXPECT_TRUE(std::signbit(c_want.at(2, 0))); // the -0 survives
+    for (nn::KernelIsa isa : nn::supportedKernelIsas()) {
+        nn::Tensor c = c0, dw = dw0;
+        nn::tiled::matmulMasked(a, b, c, 12, 20, true, isa);
+        nn::tiled::matmulTransAMasked(a, dy, dw, 12, 20, isa);
+        expectBitIdentical(c, c_want);
+        expectBitIdentical(dw, dw_want);
     }
 }
 
@@ -193,6 +324,37 @@ TEST(NnKernels, DispatcherSelectsImplementation)
     EXPECT_EQ(nn::kernelImplFromName("tiled"), nn::KernelImpl::Tiled);
     EXPECT_EQ(nn::kernelImplFromName("reference"),
               nn::KernelImpl::Reference);
+}
+
+// End to end: an MLP trained with the tiled kernels ends with the same
+// weight bits as one trained with the reference kernels.
+TEST(NnKernels, MlpTrainingBitwiseEqualAcrossImplementations)
+{
+    auto train = [](nn::KernelImpl impl) {
+        nn::KernelImpl before = nn::kernelImpl();
+        nn::setKernelImpl(impl);
+        common::Rng rng(9191);
+        nn::Mlp mlp({13, 20, 7, 2}, nn::Activation::ReLU,
+                    nn::Activation::Identity, rng);
+        nn::AdamOptimizer opt(mlp.params(), 1e-2);
+        nn::Tensor x = randomTensor(9, 13, rng, 0.2);
+        nn::Tensor y = randomTensor(9, 2, rng);
+        for (int step = 0; step < 5; ++step) {
+            nn::LossResult loss = nn::mseLoss(mlp.forward(x), y);
+            mlp.backward(loss.grad);
+            opt.step();
+        }
+        nn::setKernelImpl(before);
+        std::vector<nn::Tensor> weights;
+        for (const nn::ParamRef &p : mlp.params())
+            weights.push_back(*p.value);
+        return weights;
+    };
+    std::vector<nn::Tensor> tiled = train(nn::KernelImpl::Tiled);
+    std::vector<nn::Tensor> ref = train(nn::KernelImpl::Reference);
+    ASSERT_EQ(tiled.size(), ref.size());
+    for (size_t i = 0; i < tiled.size(); ++i)
+        expectBitIdentical(tiled[i], ref[i]);
 }
 
 // The cross-thread contract: kernels are single-threaded and parallelism
@@ -280,19 +442,32 @@ TEST(NnKernels, GroupedMatmulMatchesPerCandidateBitwise)
     nn::Tensor a = randomTensor(kGroups * kBatch, kMaxK, rng);
     nn::Tensor b = randomTensor(kMaxK, kMaxN, rng, 0.3);
 
-    for (int impl = 0; impl < 2; ++impl) {
-        auto grouped = impl == 0 ? nn::tiled::matmulMaskedGrouped
-                                 : nn::reference::matmulMaskedGrouped;
-        auto single = impl == 0 ? nn::tiled::matmulMasked
-                                : nn::reference::matmulMasked;
+    // One entry per micro-kernel variant, then the reference kernels.
+    std::vector<nn::KernelIsa> isas = nn::supportedKernelIsas();
+    for (size_t impl = 0; impl <= isas.size(); ++impl) {
+        bool ref = impl == isas.size();
+        nn::KernelIsa isa = ref ? nn::kernelIsa() : isas[impl];
         for (bool accumulate : {false, true}) {
             nn::Tensor c = randomTensor(kGroups * kBatch, kMaxN, rng);
             nn::Tensor c_grouped = c;
-            grouped(a, b, c_grouped, groups, accumulate);
+            nn::Tensor c_ref = c;
+            nn::reference::matmulMaskedGrouped(a, b, c_ref, groups,
+                                               accumulate);
+            if (ref)
+                c_grouped = c_ref;
+            else
+                nn::tiled::matmulMaskedGrouped(a, b, c_grouped, groups,
+                                               accumulate, isa);
+            expectBitIdentical(c_grouped, c_ref);
             for (const auto &g : groups) {
                 nn::Tensor a_g = sliceGroup(a, g);
                 nn::Tensor c_g = sliceGroup(c, g);
-                single(a_g, b, c_g, g.kAct, g.nAct, accumulate);
+                if (ref)
+                    nn::reference::matmulMasked(a_g, b, c_g, g.kAct,
+                                                g.nAct, accumulate);
+                else
+                    nn::tiled::matmulMasked(a_g, b, c_g, g.kAct, g.nAct,
+                                            accumulate, isa);
                 nn::Tensor got = sliceGroup(c_grouped, g);
                 expectBitIdentical(got, c_g);
             }
@@ -405,10 +580,10 @@ oracleScatter(const nn::Tensor &grad_out, const CsrIds &ids,
 
 } // namespace
 
-// Unlike the matmul family (where tiled reassociates accumulation), the
-// embedding kernels keep per-element adds in id-list order from a zero
-// accumulator in BOTH implementations — so tiled, reference, and the
-// scalar oracle all agree bitwise, at full and truncated widths.
+// Like the matmul family, the embedding kernels keep one per-element
+// operation order — adds in id-list order from a zero accumulator — in
+// BOTH implementations, so tiled, reference, and the scalar oracle all
+// agree bitwise, at full and truncated widths.
 TEST(NnKernels, EmbeddingGatherBitwiseAcrossImplsAndOracle)
 {
     common::Rng rng(2233);

@@ -9,8 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 
 #include "common/rng.h"
+#include "nn/activation.h"
 #include "nn/dense.h"
 #include "nn/embedding.h"
 #include "nn/loss.h"
@@ -226,6 +230,75 @@ TEST(LowRankDense, RankReducesParams)
     layer.setActive(64, 64, 64);
     size_t full = layer.activeParamCount();
     EXPECT_LT(low, full / 3);
+}
+
+// ---------------------------------------------- steady-state allocations
+
+// A warmed-up layer reuses every buffer across training steps, the
+// transposed-weight scratch of its dX = dY W^T matmul included.
+TEST(LayerAllocs, SteadyStateStepsAllocateNoTensors)
+{
+    Rng rng(30);
+    nn::DenseLayer dense(24, 16, nn::Activation::ReLU, rng);
+    nn::MaskedDenseLayer masked(24, 16, nn::Activation::ReLU, rng);
+    masked.setActive(20, 12);
+    nn::LowRankDenseLayer low_rank(24, 8, 16, nn::Activation::ReLU, rng);
+    low_rank.setActive(20, 6, 12);
+    nn::Tensor in = randomInput(9, 24, 31);
+    for (nn::Layer *layer :
+         std::vector<nn::Layer *>{&dense, &masked, &low_rank}) {
+        nn::Tensor grad =
+            randomInput(in.rows(), layer->forward(in).cols(), 32);
+        layer->backward(grad); // warm-up: the buffers grow here
+        nn::resetTensorAllocCount();
+        for (int step = 0; step < 3; ++step) {
+            layer->zeroGrad();
+            layer->forward(in);
+            layer->backward(grad);
+        }
+        EXPECT_EQ(nn::tensorAllocCount(), 0u) << layer->describe();
+    }
+}
+
+// ---------------------------------------------------------- Activation
+
+// The tensor backward maps against the scalar formula g * act'(x),
+// bitwise: negative, signed-zero, infinite and NaN grads against
+// pre-activations on both sides of zero, at +-0 and NaN.
+TEST(Activation, GradTensorMatchesScalarFormulaBitwise)
+{
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    const std::vector<float> xs = {-2.5f, -1e-30f, -0.0f, 0.0f,
+                                   1e-30f, 0.75f,  3.0f,  nan};
+    const std::vector<float> gs = {-1.5f, -0.0f, 0.0f, 2.0f,
+                                   nan,   -nan,  inf,  -inf};
+    nn::Tensor pre(xs.size(), gs.size()), grad(xs.size(), gs.size());
+    for (size_t i = 0; i < xs.size(); ++i) {
+        for (size_t j = 0; j < gs.size(); ++j) {
+            pre.at(i, j) = xs[i];
+            grad.at(i, j) = gs[j];
+        }
+    }
+    auto bits = [](float v) {
+        uint32_t b;
+        std::memcpy(&b, &v, sizeof(b));
+        return b;
+    };
+    for (nn::Activation act :
+         {nn::Activation::Identity, nn::Activation::ReLU,
+          nn::Activation::Swish, nn::Activation::GeLU,
+          nn::Activation::SquaredReLU, nn::Activation::Sigmoid,
+          nn::Activation::Tanh}) {
+        nn::Tensor dpre(xs.size(), gs.size());
+        nn::activateGradTensor(act, pre, grad, dpre);
+        for (size_t i = 0; i < pre.size(); ++i) {
+            float want = grad[i] * nn::activateGrad(act, pre[i]);
+            EXPECT_EQ(bits(dpre[i]), bits(want))
+                << nn::activationName(act) << " x=" << pre[i]
+                << " g=" << grad[i];
+        }
+    }
 }
 
 // ----------------------------------------------------------- Embedding
