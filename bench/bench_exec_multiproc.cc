@@ -3,12 +3,12 @@
  * Multi-process shard transport bench: the SAME searches run thread-only
  * and at 1/2/4 worker processes (x thread counts), and every outcome is
  * byte-compared against the serial reference — the bench doubles as the
- * end-to-end determinism gate for exec::ProcPool/ProcRunner.
+ * end-to-end determinism gate for exec::ProcPool/ShardRunner.
  *
  * Part 1 sweeps the surrogate search over the procs x threads matrix
  * (quality and per-candidate perf run inside the forked workers).
  * Part 2 runs the unified single-step supernet search at 0/1/2 procs
- * (batched quality: workers draw-ack, the supernet stays coordinator-
+ * (workers run the per-candidate perf; the supernet stays coordinator-
  * side). Part 3 runs the TuNAS alternating search at 0/1 procs. Part 4
  * kill -9s a live worker process mid-run and requires the search to
  * complete byte-identically anyway (transport failure -> respawn ->

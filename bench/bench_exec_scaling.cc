@@ -16,8 +16,8 @@
  * scales with the workers.
  *
  * Part 2 runs the unified single-step DLRM search (shared supernet +
- * pipeline through the deterministic ordered section) across the same
- * thread counts and checks bit-identity there too.
+ * pipeline entered after each step's barrier, in shard order) across the
+ * same thread counts and checks bit-identity there too.
  *
  * Part 3 attaches the seeded FaultInjector at preemptible-fleet rates
  * (more than a quarter of shard-steps disrupted) and shows the search

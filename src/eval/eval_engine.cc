@@ -73,21 +73,19 @@ EvalEngine::EvalEngine(PerfStage perf,
                        const reward::RewardFunction &rewardf,
                        EvalEngineConfig config, QualityFn quality)
     : _perf(std::move(perf)), _reward(rewardf), _config(config),
-      _quality(std::move(quality)),
-      _pool(config.multithread
-                ? exec::ThreadPool::resolve(config.threads,
-                                            config.numShards)
-                : 1),
-      _runner(_pool,
-              {config.numShards, config.maxShardAttempts,
-               config.retryBackoffMs, config.inlineSingleThread},
-              config.faults)
+      _quality(std::move(quality))
 {
     h2o_assert(_perf.perCandidate || _perf.batched,
                "null performance functor");
     h2o_assert(_config.numShards > 0, "engine with zero shards");
 
-    if (_config.procs > 0 || !_config.workers.empty()) {
+    exec::ProcTaskFn task = makeEvalTask(_quality, _perf.perCandidate);
+    if (_config.procs == 0 && _config.workers.empty()) {
+        _taskName = "eval_engine";
+        _transport = std::make_unique<exec::InProcessTransport>(
+            exec::ThreadPool::resolve(_config.threads, _config.numShards),
+            _taskName, std::move(task));
+    } else {
         // Register the eval task, THEN build the transports — forked
         // workers only know tasks registered before their fork, and
         // remote handshakes verify the task is registered on both ends.
@@ -97,7 +95,8 @@ EvalEngine::EvalEngine(PerfStage perf,
         static std::atomic<uint64_t> instances{0};
         _taskReg = std::make_unique<exec::ProcTaskRegistration>(
             "eval_engine/" + std::to_string(instances.fetch_add(1)),
-            makeEvalTask(_quality, _perf.perCandidate));
+            std::move(task));
+        _taskName = _taskReg->name();
 
         // Forked slots first, remote slots after — fork order matters
         // for fd hygiene (fork-local daemons must not inherit remote
@@ -112,7 +111,7 @@ EvalEngine::EvalEngine(PerfStage perf,
         if (!_config.workers.empty()) {
             exec::RemotePoolConfig remote;
             remote.endpoints = exec::parseWorkerList(_config.workers);
-            remote.requiredTasks = {_taskReg->name()};
+            remote.requiredTasks = {_taskName};
             parts.push_back(
                 std::make_unique<exec::RemotePool>(std::move(remote)));
         }
@@ -121,22 +120,20 @@ EvalEngine::EvalEngine(PerfStage perf,
         else
             _transport = std::make_unique<exec::MixedTransport>(
                 std::move(parts));
-        _procRunner = std::make_unique<exec::ProcRunner>(
-            *_transport,
-            exec::ShardRunnerConfig{_config.numShards,
-                                    _config.maxShardAttempts,
-                                    _config.retryBackoffMs,
-                                    _config.inlineSingleThread},
-            _config.faults);
     }
+    _runner = std::make_unique<exec::ShardRunner>(
+        *_transport,
+        exec::ShardRunnerConfig{_config.numShards, _config.maxShardAttempts,
+                                _config.retryBackoffMs},
+        _config.faults);
 }
 
 void
 EvalEngine::finishStep(StepEval &ev)
 {
-    // Stage 2 (batched mode): one performance call over the survivors,
+    // Stage 3 (batched mode): one performance call over the survivors,
     // on this thread. Purity makes this element-for-element identical
-    // to the per-shard calls of per-candidate mode.
+    // to the per-candidate calls of the eval task.
     if (_perf.batched) {
         std::vector<searchspace::Sample> live;
         live.reserve(ev.survivors.size());
@@ -150,24 +147,34 @@ EvalEngine::finishStep(StepEval &ev)
             ev.performance[ev.survivors[i]] = std::move(perfs[i]);
     }
 
-    // Stage 3: reward, per survivor, in shard-index order.
+    // Stage 4: reward, per survivor, in shard-index order.
     for (size_t s : ev.survivors)
         ev.rewards[s] =
             _reward.compute({ev.qualities[s], ev.performance[s]});
 }
 
-void
-EvalEngine::runProcStage(size_t step, const SampleBodyFn &body,
-                         bool withQuality, StepEval &ev)
+StepEval
+EvalEngine::runShards(size_t step, const SampleBodyFn &body,
+                      bool withQuality)
 {
-    exec::ProcShardTask task;
-    task.name = _taskReg->name();
-    // Encode = the draw. ProcRunner runs it at the exact point the
-    // thread path runs the shard body (after the fault decision, at
-    // most once per step unless the worker task throws), so each
-    // shard's RNG stream advances exactly as it would in-process.
+    const size_t n = _config.numShards;
+    StepEval ev;
+    ev.samples.resize(n);
+    ev.qualities.assign(n, 0.0);
+    ev.performance.resize(n);
+    ev.rewards.assign(n, 0.0);
+
+    // Encode = the draw. The runner calls it after the fault decision
+    // and at most once per step unless the task throws, so each shard's
+    // RNG stream advances exactly once per completed attempt.
+    const bool work = withQuality || _perf.perCandidate;
+    exec::ShardTask task;
+    if (work)
+        task.name = _taskName;
     task.encode = [&](size_t s) {
         body(s, ev.samples[s]);
+        if (!work)
+            return std::string();
         exec::WireWriter w;
         w.putU32(withQuality ? 1u : 0u);
         w.putU64(ev.samples[s].size());
@@ -176,85 +183,30 @@ EvalEngine::runProcStage(size_t step, const SampleBodyFn &body,
         return w.take();
     };
     task.decode = [&](size_t s, const std::string &response) {
+        if (!work)
+            return;
         exec::WireReader r(response);
         if (r.getU32() != 0)
             ev.qualities[s] = r.getDouble();
-        const uint32_t perfCount = r.getU32();
-        if (_perf.perCandidate) {
-            std::vector<double> values(perfCount);
-            for (auto &v : values)
-                v = r.getDouble();
-            ev.performance[s] = std::move(values);
-        }
-    };
-    ev.report = _procRunner->runStep(step, task);
-}
-
-StepEval
-EvalEngine::evaluate(size_t step, const ShardBodyFn &body)
-{
-    if (_procRunner)
-        h2o_fatal("per-shard quality closures cannot cross the process "
-                  "boundary; with procs > 0 use the draw-only "
-                  "evaluate() overloads (pure quality functor or "
-                  "batched quality)");
-    const size_t n = _config.numShards;
-    StepEval ev;
-    ev.samples.resize(n);
-    ev.qualities.assign(n, 0.0);
-    ev.performance.resize(n);
-    ev.rewards.assign(n, 0.0);
-
-    // Stage 1: quality, per shard, under the fault-tolerant runner. In
-    // per-candidate mode the performance call rides along inside the
-    // shard body, so a blocking function (device-in-the-loop) occupies
-    // its shard and overlaps across workers.
-    ev.report = _runner.runStep(step, [&](size_t s) {
-        body(s, ev.samples[s], ev.qualities[s]);
+        std::vector<double> values(r.getU32());
+        for (auto &v : values)
+            v = r.getDouble();
         if (_perf.perCandidate)
-            ev.performance[s] = _perf.perCandidate(ev.samples[s]);
-    });
+            ev.performance[s] = std::move(values);
+    };
+    ev.report = _runner->runStep(step, task);
     ev.survivors = ev.report.survivors();
-    if (ev.survivors.empty())
-        return ev;
-
-    finishStep(ev);
     return ev;
 }
 
 StepEval
 EvalEngine::evaluate(size_t step, const SampleBodyFn &body)
 {
-    h2o_assert(_quality, "draw-only evaluate() requires the engine to "
-                         "be built with a pure quality functor");
-    if (!_procRunner) {
-        // Thread path: compose the historical per-shard body (draw,
-        // then quality, inside the shard body) so results are
-        // bit-identical to engines that predate the draw-only mode.
-        const QualityFn &quality = _quality;
-        return evaluate(step,
-                        ShardBodyFn([&body, &quality](
-                                        size_t s,
-                                        searchspace::Sample &sample,
-                                        double &q) {
-                            body(s, sample);
-                            q = quality(sample);
-                        }));
-    }
-
-    const size_t n = _config.numShards;
-    StepEval ev;
-    ev.samples.resize(n);
-    ev.qualities.assign(n, 0.0);
-    ev.performance.resize(n);
-    ev.rewards.assign(n, 0.0);
-
-    runProcStage(step, body, /*withQuality=*/true, ev);
-    ev.survivors = ev.report.survivors();
-    if (ev.survivors.empty())
-        return ev;
-
-    finishStep(ev);
+    h2o_assert(_quality, "evaluate(step, body) requires the engine to be "
+                         "built with a pure quality functor");
+    StepEval ev = runShards(step, body, /*withQuality=*/true);
+    if (!ev.survivors.empty())
+        finishStep(ev);
     return ev;
 }
 
@@ -263,36 +215,11 @@ EvalEngine::evaluate(size_t step, const SampleBodyFn &body,
                      const QualityBatchFn &quality)
 {
     h2o_assert(quality, "null batched quality functor");
-    const size_t n = _config.numShards;
-    StepEval ev;
-    ev.samples.resize(n);
-    ev.qualities.assign(n, 0.0);
-    ev.performance.resize(n);
-    ev.rewards.assign(n, 0.0);
-
-    // Stage 1: draw-only shard bodies under the fault-tolerant runner —
-    // fault semantics are unchanged (a degraded shard never draws, its
-    // RNG stream never advances). Per-candidate performance still rides
-    // along (inside the shard body on the thread path, inside the
-    // worker processes in proc mode) so device-in-the-loop functions
-    // overlap across workers.
-    if (_procRunner) {
-        runProcStage(step, body, /*withQuality=*/false, ev);
-    } else {
-        ev.report = _runner.runStep(step, [&](size_t s) {
-            body(s, ev.samples[s]);
-            if (_perf.perCandidate)
-                ev.performance[s] = _perf.perCandidate(ev.samples[s]);
-        });
-    }
-    ev.survivors = ev.report.survivors();
+    StepEval ev = runShards(step, body, /*withQuality=*/false);
     if (ev.survivors.empty())
         return ev;
 
-    // Stage 1b: ONE quality call over the survivors, ascending shard
-    // order — exactly the order the per-shard path's ordered sections
-    // admit shards, so a quality function that runs the same work per
-    // candidate produces bit-identical qualities.
+    // ONE quality call over the survivors, ascending shard order.
     std::vector<searchspace::Sample> live;
     live.reserve(ev.survivors.size());
     for (size_t s : ev.survivors)
@@ -305,6 +232,19 @@ EvalEngine::evaluate(size_t step, const SampleBodyFn &body,
 
     finishStep(ev);
     return ev;
+}
+
+exec::StepReport
+EvalEngine::runStep(size_t step, const std::function<void(size_t)> &draw,
+                    const std::function<void(size_t)> &apply)
+{
+    exec::ShardTask task;
+    task.encode = [&](size_t s) {
+        draw(s);
+        return std::string();
+    };
+    task.decode = [&](size_t s, const std::string &) { apply(s); };
+    return _runner->runStep(step, task);
 }
 
 } // namespace h2o::eval

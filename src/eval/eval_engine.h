@@ -4,39 +4,33 @@
  * by every search loop.
  *
  * One search step evaluates N candidates (the virtual accelerator
- * shards of Figure 2). Before this subsystem each search loop owned its
- * own copy of the plumbing: a ThreadPool + ShardRunner pair, a per-shard
- * body that sampled/evaluated/rewarded one candidate, and ad-hoc
- * survivor bookkeeping. EvalEngine centralizes that pipeline:
+ * shards of Figure 2). The engine owns the shard transport and the
+ * fault-tolerant exec::ShardRunner and runs every step as one shard
+ * codec:
  *
- *   1. quality stage — runs per shard INSIDE ShardRunner::runStep, so
- *      FaultInjector semantics are unchanged: an injected fault strikes
- *      before the shard body, a degraded shard never draws its sample
- *      and never advances its RNG stream. Bodies may still carve out
- *      deterministic shard-index-ordered regions (the shared supernet /
- *      pipeline) via `engine.runner().ordered()`.
- *   2. performance stage — in one of two modes, chosen by which functor
- *      type the engine is built with:
- *      - PerfBatchFn: ONE batched call over the step's surviving
- *        candidates, on the coordinator thread. Callers back it with the
- *        batched entry points (PerfModel::predictBatch,
- *        Simulator::runBatch behind a SimCache), amortizing feature
- *        packing, striped-lock traffic and workspace setup across the
- *        step. Use this for cheap, pure, CPU-side functions.
- *      - PerfFn: per candidate, INSIDE the shard body on the worker
- *        pool. Use this when the function occupies a device or
- *        otherwise blocks (the production shape: each shard's candidate
- *        runs on a remote accelerator) — shard occupancy then overlaps
- *        across worker threads instead of serializing on the
- *        coordinator.
- *      Performance functions are pure, so the two modes produce
- *      element-for-element identical values.
- *   3. reward stage — the multi-objective RewardFunction over
- *      (quality, performance), per surviving shard, in shard order.
+ *   1. draw — each shard draws its candidate from its own RNG stream in
+ *      the codec's encode, on the shard's lane, AFTER the fault decision:
+ *      a degraded shard never draws and never advances its stream.
+ *   2. per-candidate worker work — the pure QualityFn and/or a PerfFn
+ *      run as the engine's eval task on the shard's transport slot: a
+ *      lane thread of this process (threads), a forked worker (procs) or
+ *      a remote daemon (workers). A step with no per-candidate work
+ *      (batched quality with a PerfBatchFn) never calls the transport.
+ *   3. batched stages — after the step barrier, on the caller's thread,
+ *      in ascending shard order over the survivors: the QualityBatchFn
+ *      (when given) and the PerfBatchFn (when the engine was built with
+ *      one). Callers back the PerfBatchFn with the batched entry points
+ *      (PerfModel::predictBatch, Simulator::runBatch behind a SimCache);
+ *      a PerfFn suits functions that occupy a device, whose occupancy
+ *      then overlaps across slots. Performance functions are pure, so the
+ *      two modes produce element-for-element identical values.
+ *   4. reward — the multi-objective RewardFunction over (quality,
+ *      performance), per surviving shard, in shard order.
  *
  * Aggregation (REINFORCE update, merged weight update) stays in the
  * caller, which consumes StepEval in shard-index order on its own
- * thread — bit-for-bit identical to a serial run at any thread count.
+ * thread — bit-for-bit identical to a serial run at any thread count,
+ * process count or fleet shape.
  */
 
 #ifndef H2O_EVAL_EVAL_ENGINE_H
@@ -47,10 +41,8 @@
 #include <span>
 #include <vector>
 
-#include "exec/proc_runner.h"
 #include "exec/proc_transport.h"
 #include "exec/shard_runner.h"
-#include "exec/thread_pool.h"
 #include "reward/reward.h"
 #include "searchspace/decision_space.h"
 
@@ -61,9 +53,8 @@ using PerfFn =
     std::function<std::vector<double>(const searchspace::Sample &)>;
 
 /** Candidate -> quality signal; PURE (same candidate, same answer,
- *  regardless of process or thread). Required for the process
- *  transport's worker-side quality stage; also drives the draw-only
- *  evaluate(step, SampleBodyFn) overload on the thread path. */
+ *  regardless of process or thread). Runs in the eval task on the
+ *  shard's transport slot. */
 using QualityFn = std::function<double(const searchspace::Sample &)>;
 
 /** Batch of candidates -> objective values, one vector per candidate.
@@ -87,8 +78,8 @@ PerfBatchFn batchify(PerfFn fn);
  */
 struct PerfStage
 {
-    /** Per-candidate mode: runs inside the shard body on the worker
-     *  pool (device-in-the-loop / blocking functions). */
+    /** Per-candidate mode: runs in the eval task on the shard's slot
+     *  (device-in-the-loop / blocking functions). */
     PerfStage(PerfFn fn) : perCandidate(std::move(fn)) {}
     /** Batched mode: one coordinator-side call per step over the
      *  surviving candidates (batch entry points). */
@@ -103,45 +94,34 @@ struct EvalEngineConfig
 {
     /** Virtual accelerator shards = candidates per step. */
     size_t numShards = 1;
-    /** Worker threads; 0 = one per hardware thread. Clamped to
-     *  numShards. Any value yields bit-identical results. */
+    /** In-process lanes (worker threads) when procs and workers are
+     *  unset; 0 = one per hardware thread. Clamped to numShards; one
+     *  lane runs on the caller's thread. Any value yields bit-identical
+     *  results. */
     size_t threads = 0;
-    /** false forces a single worker (results identical either way). */
-    bool multithread = true;
     /** Optional fault oracle (preemptible-fleet emulation); not owned. */
     exec::FaultInjector *faults = nullptr;
     /** Max attempts per shard per step before it is dropped. */
     size_t maxShardAttempts = 3;
     /** Exponential retry backoff base, in milliseconds. */
     double retryBackoffMs = 0.5;
-    /** With one worker (threads == 1 or !multithread), execute shard
-     *  bodies inline on the evaluate() caller's thread instead of
-     *  dispatching to the pool — bit-identical results (see
-     *  exec::ShardRunnerConfig::inlineSingleWorker), no cross-thread
-     *  hand-off cost. Disable only to A/B the dispatch path. */
-    bool inlineSingleThread = true;
     /**
-     * Worker PROCESSES for the shard stage (the multi-process
-     * transport, exec::ProcRunner). 0 keeps everything in-process (the
-     * thread path above). >= 1 forks that many workers (clamped to
-     * numShards) at engine construction and ships each shard's pure
-     * work — the per-candidate quality when the engine was built with
-     * one, plus the per-candidate performance stage when configured —
-     * into them; draws, fault decisions, batched stages and aggregation
-     * stay coordinator-side. Any value (including 1 vs the pure-thread
-     * path) produces byte-identical results; `threads` then only sizes
-     * the coordinator pool still used for non-evaluate runner() steps.
+     * Worker PROCESSES for the per-candidate work (exec::ProcPool),
+     * forked at engine construction (clamped to numShards). 0 keeps the
+     * work on in-process lanes. Draws, fault decisions, batched stages
+     * and aggregation stay coordinator-side. Any value (including 1 vs
+     * in-process lanes) produces byte-identical results; `threads` is
+     * then unused.
      */
     size_t procs = 0;
     /**
-     * Remote worker daemons for the shard stage, as a comma-separated
-     * endpoint list ("host:port" for an external daemon running the
-     * same binary, "local" to fork a loopback daemon) — see
+     * Remote worker daemons for the per-candidate work, as a
+     * comma-separated endpoint list ("host:port" for an external daemon
+     * running the same binary, "local" to fork a loopback daemon) — see
      * exec::parseWorkerList. Empty = none. Combines with `procs`: the
      * pool is then MIXED, forked slots first, remote slots after, and
      * shard s is pinned to slot s % (procs + workers). Worker tasks are
-     * pure, so every combination — threads only, procs only, remote
-     * only, mixed — produces byte-identical results.
+     * pure, so every combination produces byte-identical results.
      */
     std::string workers;
 };
@@ -162,33 +142,23 @@ struct StepEval
 };
 
 /**
- * The engine. Owns the persistent worker pool and the fault-tolerant
+ * The engine. Owns the shard transport and the fault-tolerant
  * ShardRunner; outlives many evaluate() calls.
  */
 class EvalEngine
 {
   public:
     /**
-     * Per-shard quality stage: fill in the shard's candidate and its
-     * quality signal. Runs inside the shard body — draw the sample from
-     * the shard's own RNG stream HERE so a degraded shard leaves its
-     * stream untouched.
-     */
-    using ShardBodyFn = std::function<void(
-        size_t shard, searchspace::Sample &sample, double &quality)>;
-
-    /**
-     * Draw-only shard body for the batched quality mode: fill in the
-     * shard's candidate (from the shard's own RNG stream, so a degraded
-     * shard leaves its stream untouched) WITHOUT computing quality.
+     * Draw-only shard body: fill in the shard's candidate from the
+     * shard's own RNG stream. Runs on the shard's lane after the fault
+     * decision, so a degraded shard leaves its stream untouched.
      */
     using SampleBodyFn =
         std::function<void(size_t shard, searchspace::Sample &sample)>;
 
     /**
      * Batched quality stage: one coordinator-side call per step over the
-     * step's surviving candidates, in ascending shard order — the order
-     * the per-shard path's ordered sections serialize to. Returns one
+     * step's surviving candidates, in ascending shard order. Returns one
      * quality per candidate (same indexing as `samples`).
      *
      * @param shards  Surviving shard indices, ascending.
@@ -201,103 +171,75 @@ class EvalEngine
     /**
      * @param perf    Performance stage (pure). A PerfBatchFn runs once
      *                per step on the caller's thread; a PerfFn runs per
-     *                candidate inside the shard body (or inside a
-     *                worker process in proc mode).
+     *                candidate in the eval task on the shard's slot.
      * @param rewardf Multi-objective reward; not owned, must outlive
      *                the engine.
      * @param config  Shard count and runtime knobs.
-     * @param quality Optional PURE per-candidate quality. Enables the
-     *                draw-only evaluate(step, SampleBodyFn) overload;
-     *                in proc mode it runs inside the worker processes
-     *                (it is captured before the workers fork).
+     * @param quality Optional PURE per-candidate quality, run in the
+     *                eval task; required by evaluate(step, body).
      */
     EvalEngine(PerfStage perf, const reward::RewardFunction &rewardf,
                EvalEngineConfig config, QualityFn quality = nullptr);
 
     /**
-     * Evaluate one step: run `body` for every shard (concurrently,
-     * fault-tolerantly), then one batched performance call and the
-     * reward over the survivors.
-     *
-     * Thread-path only: the closure computes quality inline, which
-     * cannot cross a process boundary — fatal when procs > 0 (use the
-     * draw-only overloads there).
+     * Evaluate one step with the ctor's pure quality: `body` draws each
+     * shard's candidate, the eval task computes its quality (and its
+     * performance under a PerfFn), then the batched performance and the
+     * reward run over the survivors.
      *
      * @param step Step index keying fault-injection decisions; callers
-     *             with multiple runStep phases (warm-up, W-steps) must
-     *             keep the combined sequence strictly increasing.
-     */
-    StepEval evaluate(size_t step, const ShardBodyFn &body);
-
-    /**
-     * Draw-only + pure-quality mode (requires the ctor `quality`):
-     * `body` draws each shard's candidate; the engine computes quality
-     * per candidate — inside the shard body on the thread path, inside
-     * the worker processes in proc mode. Bit-identical either way.
+     *             with several step phases (warm-up, W-steps) must keep
+     *             the combined sequence strictly increasing.
      */
     StepEval evaluate(size_t step, const SampleBodyFn &body);
 
     /**
-     * Batched quality mode: run the draw-only `body` for every shard
-     * under the fault-tolerant runner (per-candidate performance still
-     * rides along inside the shard body when configured), then ONE
-     * `quality` call over the survivors on this thread, then the shared
-     * performance/reward tail. Identical StepEval to the per-shard
-     * overload whenever `quality` computes what the per-shard bodies
-     * would have computed in ascending shard order.
+     * Batched quality mode: `body` draws each shard's candidate, then
+     * ONE `quality` call over the survivors runs on this thread, then
+     * the shared performance/reward tail.
      */
     StepEval evaluate(size_t step, const SampleBodyFn &body,
                       const QualityBatchFn &quality);
 
-    /** The underlying runner, for ordered sections inside bodies and
-     *  for non-evaluation steps (weight warm-up) that must share the
-     *  fault-injection step sequence. */
-    exec::ShardRunner &runner() { return _runner; }
+    /**
+     * A step with no candidate evaluation (weight warm-up, TuNAS
+     * W-step) on the same fault-step sequence: `draw(shard)` runs on the
+     * shard's lane after the fault decision; `apply(shard)` runs for
+     * each surviving shard after the barrier, ascending, on this thread.
+     */
+    exec::StepReport runStep(size_t step,
+                             const std::function<void(size_t)> &draw,
+                             const std::function<void(size_t)> &apply);
 
-    /** The persistent worker pool. */
-    exec::ThreadPool &pool() { return _pool; }
-
-    /** Shard count. */
-    size_t numShards() const { return _config.numShards; }
-
-    /** True when the engine ships shard work across a process boundary
-     *  (forked workers, remote daemons, or both). */
-    bool multiproc() const { return _transport != nullptr; }
-
-    /** Worker transport (ProcPool / RemotePool / MixedTransport), or
-     *  nullptr on the thread path. */
-    exec::ShardTransport *transport() { return _transport.get(); }
-
-    /** Per-worker transport/liveness counters; empty on the thread
-     *  path (no worker processes to report on). */
+    /** Per-worker transport/liveness counters; empty for in-process
+     *  lanes (no worker processes to report on). */
     exec::ProcPoolStats transportStats() const
     {
-        return _transport ? _transport->stats() : exec::ProcPoolStats{};
+        return _transport->stats();
     }
 
   private:
-    /** Shared stage-2/3 tail: batched performance over the survivors,
+    /** Shared stage-3/4 tail: batched performance over the survivors,
      *  then the reward in shard-index order. */
     void finishStep(StepEval &ev);
 
-    /** Proc-mode stage 1: draw coordinator-side, ship quality/perf to
-     *  the worker processes. `withQuality` = ask workers for quality
-     *  (draw-only batched mode sends perf-only / ack requests). */
-    void runProcStage(size_t step, const SampleBodyFn &body,
-                      bool withQuality, StepEval &ev);
+    /** Stages 1-2: draw on the lanes, per-candidate work in the eval
+     *  task (`withQuality` asks the task for quality too). */
+    StepEval runShards(size_t step, const SampleBodyFn &body,
+                       bool withQuality);
 
     PerfStage _perf;
     const reward::RewardFunction &_reward;
     EvalEngineConfig _config;
     QualityFn _quality;
-    exec::ThreadPool _pool;
-    exec::ShardRunner _runner;
-    /** Process/remote transport (procs > 0 or workers nonempty only).
-     *  Registration order matters: the task must be registered before
-     *  workers fork and before remote connections handshake. */
+    /** Registration of the eval task for forked and remote slots (null
+     *  for in-process lanes). Order matters: the task must be
+     *  registered before workers fork and before remote connections
+     *  handshake. */
     std::unique_ptr<exec::ProcTaskRegistration> _taskReg;
+    std::string _taskName;
     std::unique_ptr<exec::ShardTransport> _transport;
-    std::unique_ptr<exec::ProcRunner> _procRunner;
+    std::unique_ptr<exec::ShardRunner> _runner;
 };
 
 } // namespace h2o::eval

@@ -3,8 +3,8 @@
  * Process-level shard transport: a pool of forked worker processes
  * executing registered PURE tasks over UNIX-domain socket pairs.
  *
- * The thread runtime (thread_pool.h / shard_runner.h) tops out at one
- * process's threads; the paper runs 128 accelerator shards. ProcPool is
+ * In-process lanes (InProcessTransport) top out at one process's
+ * threads; the paper runs 128 accelerator shards. ProcPool is
  * the scale-out step: fork-per-worker with a length-framed
  * request/response protocol over socketpair(AF_UNIX, SOCK_STREAM).
  * Each worker inherits the coordinator's address space at fork time and
@@ -20,8 +20,8 @@
  * worker's socket (EPIPE on send, EOF on recv), never blocks on a
  * corpse, and can respawn the worker with respawnDead() — a fresh fork
  * of the CURRENT coordinator state. In-flight requests on a dead worker
- * are simply lost; the caller (ProcRunner) owns retry/degradation
- * policy, mirroring the FaultInjector semantics of the thread runtime.
+ * are simply lost; the caller (ShardRunner) owns retry/degradation
+ * policy.
  *
  * Registration order matters: workers only know the tasks registered
  * BEFORE they were forked. Owners therefore register their task, then
@@ -44,16 +44,6 @@
 #include "exec/shard_transport.h"
 
 namespace h2o::exec {
-
-/**
- * A worker-side task: pure function of (step, shard, request bytes).
- * Runs inside the forked worker; may read any state that existed at
- * fork time but must not rely on coordinator-side mutations after it.
- * Throwing reports a task error to the coordinator (which treats it
- * like a thrown shard body: warn + retry).
- */
-using ProcTaskFn = std::function<std::string(
-    uint64_t step, uint64_t shard, const std::string &request)>;
 
 /**
  * RAII registration of a named task in the process-global registry.
@@ -162,8 +152,8 @@ class ProcPool final : public ShardTransport
      * Execute one task round trip on a worker. Returns the response on
      * success; std::nullopt on a transport failure (worker died — the
      * slot is marked dead until respawnDead()). A task that THREW in
-     * the worker raises std::runtime_error here, mirroring a thrown
-     * shard body in the thread runtime.
+     * the worker raises std::runtime_error here (the runner retries
+     * the shard).
      */
     std::optional<std::string> call(size_t worker,
                                     const std::string &task,

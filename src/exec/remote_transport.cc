@@ -252,6 +252,18 @@ RemotePool::localDaemonAlive(Slot &slot)
     return true;
 }
 
+void
+RemotePool::reforkLocalDaemon(Slot &slot)
+{
+    if (slot.daemonPid > 0) {
+        ::kill(slot.daemonPid, SIGKILL);
+        ::waitpid(slot.daemonPid, nullptr, 0);
+    }
+    LocalDaemon daemon = spawnLocalWorkerDaemon();
+    slot.daemonPid = daemon.pid;
+    slot.port = daemon.port;
+}
+
 bool
 RemotePool::connectSlot(size_t index, bool initial)
 {
@@ -354,12 +366,16 @@ RemotePool::respawnDead()
             continue;
         // A fork-local slot whose daemon died needs a whole new daemon
         // (fresh listener, fresh port) before reconnecting.
-        if (slot.endpoint.forkLocal && !localDaemonAlive(slot)) {
-            LocalDaemon daemon = spawnLocalWorkerDaemon();
-            slot.daemonPid = daemon.pid;
-            slot.port = daemon.port;
+        if (slot.endpoint.forkLocal && !localDaemonAlive(slot))
+            reforkLocalDaemon(slot);
+        bool connected = connectSlot(i, /*initial=*/false);
+        if (!connected && slot.endpoint.forkLocal) {
+            // The daemon looked alive but refused: it may have died
+            // after the liveness check. Replace it and try once more.
+            reforkLocalDaemon(slot);
+            connected = connectSlot(i, /*initial=*/false);
         }
-        if (connectSlot(i, /*initial=*/false))
+        if (connected)
             ++slot.stats.respawns;
         // else: endpoint still unreachable; the slot stays dead and its
         // shards keep retrying (degrading on attempt exhaustion).
@@ -386,9 +402,14 @@ void
 RemotePool::killDaemon(size_t worker)
 {
     h2o_assert(worker < _slots.size(), "remote worker out of range");
-    pid_t pid = _slots[worker].daemonPid;
-    if (pid > 0)
-        ::kill(pid, SIGKILL);
+    Slot &slot = _slots[worker];
+    if (slot.daemonPid > 0) {
+        // Reap synchronously: once this returns the daemon is gone, so
+        // respawnDead() re-forks it instead of retrying its listener.
+        ::kill(slot.daemonPid, SIGKILL);
+        ::waitpid(slot.daemonPid, nullptr, 0);
+        slot.daemonPid = 0;
+    }
 }
 
 pid_t

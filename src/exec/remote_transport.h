@@ -16,7 +16,7 @@
  *     respawnDead() reconnects, and the daemon forks a fresh
  *     single-threaded session for the new connection. Pure tasks make
  *     the fresh session byte-equivalent to a fresh fork.
- *  3. Cached-request retries (owned by ProcRunner): a shard whose
+ *  3. Cached-request retries (owned by ShardRunner): a shard whose
  *     transport died is retried with the SAME request bytes, so
  *     per-shard RNG streams never advance twice.
  *
@@ -112,9 +112,9 @@ class RemotePool final : public ShardTransport
     pid_t workerPid(size_t worker) const override;
     ProcPoolStats stats() const override;
 
-    /** SIGKILL the slot's daemon PARENT process (fork-local slots
-     *  only): the harsher failure where reconnecting needs a whole new
-     *  daemon, which respawnDead() re-forks. */
+    /** SIGKILL and reap the slot's daemon PARENT process (fork-local
+     *  slots only): the harsher failure where reconnecting needs a
+     *  whole new daemon, which respawnDead() re-forks. */
     void killDaemon(size_t worker);
 
     /** Daemon parent pid of a fork-local slot (0 otherwise). */
@@ -134,6 +134,10 @@ class RemotePool final : public ShardTransport
     /** True if the fork-local daemon parent of `slot` still runs
      *  (reaps it when it exited). */
     bool localDaemonAlive(Slot &slot);
+
+    /** Kill and reap a fork-local slot's daemon (if any), then fork a
+     *  fresh one on a fresh port. */
+    void reforkLocalDaemon(Slot &slot);
 
     /** Connect + handshake one slot. `initial` failures are fatal;
      *  later ones return false (slot stays dead). */

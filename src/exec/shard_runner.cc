@@ -7,57 +7,6 @@
 
 namespace h2o::exec {
 
-// ------------------------------------------------------ OrderedSection
-
-void
-OrderedSection::reset(size_t n)
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    _done.assign(n, false);
-}
-
-void
-OrderedSection::waitTurn(size_t shard)
-{
-    std::unique_lock<std::mutex> lock(_mutex);
-    h2o_assert(shard < _done.size(), "shard out of range in OrderedSection");
-    _cv.wait(lock, [&] {
-        for (size_t i = 0; i < shard; ++i)
-            if (!_done[i])
-                return false;
-        return true;
-    });
-}
-
-void
-OrderedSection::markDone(size_t shard)
-{
-    {
-        std::lock_guard<std::mutex> lock(_mutex);
-        _done[shard] = true;
-    }
-    _cv.notify_all();
-}
-
-void
-OrderedSection::skip(size_t shard)
-{
-    markDone(shard);
-}
-
-OrderedSection::Guard::Guard(OrderedSection &section, size_t shard)
-    : _section(section), _shard(shard)
-{
-    _section.waitTurn(shard);
-}
-
-OrderedSection::Guard::~Guard()
-{
-    _section.markDone(_shard);
-}
-
-// ---------------------------------------------------------- StepReport
-
 std::vector<size_t>
 StepReport::survivors() const
 {
@@ -69,41 +18,35 @@ StepReport::survivors() const
     return ok;
 }
 
-bool
-StepReport::degraded() const
-{
-    for (const auto &r : shards)
-        if (r.state == ShardState::Degraded)
-            return true;
-    return false;
-}
-
-// --------------------------------------------------------- ShardRunner
-
-ShardRunner::ShardRunner(ThreadPool &pool, ShardRunnerConfig config,
+ShardRunner::ShardRunner(ShardTransport &transport, ShardRunnerConfig config,
                          FaultInjector *injector)
-    : _pool(pool), _config(config), _injector(injector)
+    : _transport(transport), _config(config), _injector(injector)
 {
     h2o_assert(_config.numShards > 0, "runner with zero shards");
     h2o_assert(_config.maxAttempts > 0, "runner with zero attempts");
     h2o_assert(_config.backoffBaseMs >= 0.0, "negative backoff");
+    if (_transport.size() > 1)
+        _io = std::make_unique<ThreadPool>(_transport.size());
 }
 
-ShardResult
-ShardRunner::runShard(size_t step, size_t shard,
-                      const std::function<void(size_t)> &body)
+bool
+ShardRunner::runShardAttempts(size_t step, size_t shard, size_t slot,
+                              const ShardTask &task, ShardAttempt &st)
 {
-    ShardResult result;
-    for (size_t attempt = 0; attempt < _config.maxAttempts; ++attempt) {
-        result.attempts = attempt + 1;
+    while (st.attemptsUsed < _config.maxAttempts) {
+        const size_t attempt = st.attemptsUsed++;
+        st.result.attempts = attempt + 1;
+
+        // Injected faults strike before encode: a preempted or failed
+        // attempt never draws its sample.
         FaultKind fault = _injector
                               ? _injector->decide(step, shard, attempt)
                               : FaultKind::None;
         if (fault == FaultKind::Preempt) {
             _injector->record(fault);
-            result.state = ShardState::Degraded;
-            _ordered.skip(shard);
-            return result;
+            st.result.state = ShardState::Degraded;
+            st.settled = true;
+            return true;
         }
         if (fault == FaultKind::Fail) {
             _injector->record(fault);
@@ -122,57 +65,119 @@ ShardRunner::runShard(size_t step, size_t shard,
                 std::chrono::duration<double, std::milli>(
                     _injector->config().stragglerDelayMs));
         }
+
         try {
-            body(shard);
-            result.state = attempt == 0 ? ShardState::Ok
-                                        : ShardState::Retried;
-            return result;
+            // Encode at most once per step: a transport retry must
+            // resend the SAME bytes so the shard's RNG stream advances
+            // exactly once, like an unkilled run.
+            if (!st.request)
+                st.request = task.encode(shard);
         } catch (const std::exception &e) {
-            h2o::common::warn("shard ", shard, " attempt ", attempt,
-                              " failed: ", e.what());
+            common::warn("shard ", shard, " attempt ", attempt,
+                         " failed encoding: ", e.what());
+            st.request.reset();
+            continue;
         }
+
+        std::optional<std::string> reply;
+        if (task.name.empty()) {
+            reply = std::move(st.request);
+        } else {
+            try {
+                reply = _transport.call(slot, task.name, step, shard,
+                                        *st.request);
+            } catch (const std::exception &e) {
+                // The task threw: warn, consume the attempt, re-run
+                // from the draw.
+                common::warn("shard ", shard, " attempt ", attempt,
+                             " failed: ", e.what());
+                st.request.reset();
+                continue;
+            }
+        }
+        if (!reply) {
+            // Worker death mid-call. The attempt is spent, the encoded
+            // request is kept, and the shard (plus everything queued
+            // behind it on this slot) waits for the respawn round.
+            return false;
+        }
+        st.response = std::move(reply);
+        st.result.state =
+            attempt == 0 ? ShardState::Ok : ShardState::Retried;
+        st.settled = true;
+        return true;
     }
-    result.state = ShardState::Degraded;
-    _ordered.skip(shard);
-    return result;
+    st.result.state = ShardState::Degraded;
+    st.settled = true;
+    return true;
 }
 
 StepReport
-ShardRunner::runStep(size_t step,
-                     const std::function<void(size_t shard)> &body)
+ShardRunner::runStep(size_t step, const ShardTask &task)
 {
-    h2o_assert(body, "null shard body");
-    StepReport report;
-    report.shards.assign(_config.numShards, ShardResult{});
-    _ordered.reset(_config.numShards);
+    h2o_assert(task.encode && task.decode, "malformed shard task");
+    const size_t n = _config.numShards;
+    const size_t slots = _transport.size();
+    std::vector<ShardAttempt> shards(n);
 
-    if (_config.inlineSingleWorker && _pool.size() == 1) {
-        // Single-worker fast path: run the shards inline in index
-        // order on this thread — exactly the order one FIFO worker
-        // would run them, with the same fault decisions and ordered-
-        // section admissions — skipping the cross-thread dispatch.
-        for (size_t s = 0; s < _config.numShards; ++s)
-            report.shards[s] = runShard(step, s, body);
-        ++_inlineSteps;
-    } else {
-        std::vector<std::future<void>> futures;
-        futures.reserve(_config.numShards);
-        for (size_t s = 0; s < _config.numShards; ++s) {
-            futures.push_back(
-                _pool.submit([this, step, s, &body, &report] {
-                    report.shards[s] = runShard(step, s, body);
-                }));
+    // Rounds: run every unsettled shard on its slot; a worker death ends
+    // that slot's round early, and the next round begins by re-forking
+    // (or reconnecting) every corpse from current coordinator state.
+    // Each round with a dead worker consumes at least one attempt of its
+    // first pending shard, so the loop terminates.
+    bool pending = true;
+    while (pending) {
+        if (!task.name.empty())
+            _transport.respawnDead();
+
+        // Ascending shard lists per slot (shard s -> slot s % slots).
+        std::vector<std::vector<size_t>> assigned(slots);
+        for (size_t s = 0; s < n; ++s)
+            if (!shards[s].settled)
+                assigned[s % slots].push_back(s);
+
+        auto runLane = [&](size_t w) {
+            for (size_t s : assigned[w]) {
+                if (!runShardAttempts(step, s, w, task, shards[s])) {
+                    ++_transportFailures;
+                    break; // corpse: defer the rest of this lane
+                }
+            }
+        };
+
+        if (!_io) {
+            runLane(0);
+        } else {
+            std::vector<std::future<void>> lanes;
+            lanes.reserve(slots);
+            for (size_t w = 0; w < slots; ++w) {
+                if (!assigned[w].empty())
+                    lanes.push_back(_io->submit([&, w] { runLane(w); }));
+            }
+            // The cross-shard barrier for this round.
+            for (auto &f : lanes)
+                f.get();
         }
-        // The cross-shard barrier: aggregation must not start before
-        // every shard has completed or been declared lost.
-        for (auto &f : futures)
-            f.get();
-        ++_dispatchedSteps;
+
+        pending = false;
+        for (const auto &st : shards)
+            if (!st.settled) {
+                pending = true;
+                break;
+            }
     }
 
-    for (const auto &r : report.shards)
-        if (r.state == ShardState::Degraded)
+    // Apply responses in ascending shard order on this thread, so
+    // decoders that touch shared state see the serial schedule.
+    StepReport report;
+    report.shards.reserve(n);
+    for (size_t s = 0; s < n; ++s) {
+        if (shards[s].response)
+            task.decode(s, *shards[s].response);
+        if (shards[s].result.state == ShardState::Degraded)
             ++_degradedShardSteps;
+        report.shards.push_back(shards[s].result);
+    }
     return report;
 }
 

@@ -1,82 +1,53 @@
 /**
  * @file
- * ShardRunner: one search step across N virtual accelerator shards.
+ * ShardRunner: one search step across N shards on the worker slots of a
+ * ShardTransport — in-process threads, forked worker processes, remote
+ * daemons, or a mix of the out-of-process kinds.
  *
- * runStep() dispatches one task per shard onto a persistent ThreadPool,
- * barrier-waits for all of them (the cross-shard all-reduce point of
- * Figure 2), and reports which shards survived. The caller then performs
- * the cross-shard REINFORCE / gradient aggregation over the survivors in
- * shard-index order on its own thread — which is what keeps the
- * aggregation bit-for-bit identical to a serial run at any thread count.
+ * Every step is one ShardTask codec: `encode(shard)` runs coordinator-
+ * side (it may draw from the shard's policy stream), the named task runs
+ * the pure per-candidate work on the shard's slot, and `decode(shard,
+ * response)` applies the result coordinator-side — after the step
+ * barrier, in ascending shard order, on the caller's thread, so a
+ * decoder may touch shared state (the weight-sharing supernet, the batch
+ * pipeline) and sees the serial schedule at any slot count. Worker tasks
+ * are pure, so any transport and any slot count produces byte-identical
+ * results. A step with no per-candidate worker work (an empty task name)
+ * never calls the transport: encode runs on the lanes and decode receives
+ * encode's bytes.
  *
- * Shared-resource regions (the weight-sharing super-network, the batch
- * pipeline) go through OrderedSection: a critical section that admits
- * shards strictly in index order. Execution inside the section is
- * therefore the exact serial order — same batches to the same shards,
- * same floating-point accumulation order into the shared gradients —
- * while everything outside the section (policy sampling from per-shard
- * streams, perf-model queries, reward computation) runs concurrently.
- *
- * Fault tolerance: when a FaultInjector is attached, each shard attempt
- * may be failed (retry with exponential backoff, up to maxAttempts),
- * straggled (delayed), or preempted (shard lost for the step). A shard
- * whose attempts are exhausted is reported Degraded; the caller
- * aggregates over the surviving shards with scaled baselines. Injected
- * faults strike BEFORE the shard body executes, so a failed attempt
- * leaves no partial side effects. Thrown exceptions from the body are
- * treated as real failures and retried the same way.
+ * Fault semantics, keyed on (step, shard, attempt):
+ *  - Injected faults (FaultInjector) strike before encode, so a
+ *    preempted or failed attempt never draws and leaves no side effect.
+ *    Failed attempts retry with exponential backoff; a preempted shard
+ *    is lost for the step.
+ *  - A task that THROWS (or an encode that throws) consumes the attempt:
+ *    warn, re-encode and retry.
+ *  - Worker DEATH (kill -9, crash) is a transport failure: the in-flight
+ *    shard consumes an attempt but keeps its encoded request (its RNG
+ *    stream must not advance twice), the worker is respawned from current
+ *    coordinator state between rounds, and the shard is retried with the
+ *    SAME request bytes — a successful retry makes the whole run byte-
+ *    identical to an unkilled one. Shards queued behind the corpse
+ *    consume nothing and simply run in the next round.
+ *  - A shard whose attempts exhaust is reported Degraded: excluded from
+ *    the step's aggregation, search continues on the survivors.
  */
 
 #ifndef H2O_EXEC_SHARD_RUNNER_H
 #define H2O_EXEC_SHARD_RUNNER_H
 
-#include <condition_variable>
-#include <cstddef>
 #include <functional>
-#include <mutex>
+#include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "exec/fault_injector.h"
+#include "exec/shard_transport.h"
 #include "exec/thread_pool.h"
 
 namespace h2o::exec {
-
-/**
- * Admits shards strictly in index order; used for the shared-supernet
- * and pipeline regions of a shard body. A degraded shard's turn is
- * skipped by the runner so later shards are not stuck waiting for it.
- */
-class OrderedSection
-{
-  public:
-    /** Prepare the section for a step over n shards. Not thread-safe. */
-    void reset(size_t n);
-
-    /** Mark a shard's turn as forfeited (it will never enter). */
-    void skip(size_t shard);
-
-    /** RAII turn: blocks until every lower-indexed shard is done. */
-    class Guard
-    {
-      public:
-        Guard(OrderedSection &section, size_t shard);
-        ~Guard();
-        Guard(const Guard &) = delete;
-        Guard &operator=(const Guard &) = delete;
-
-      private:
-        OrderedSection &_section;
-        size_t _shard;
-    };
-
-  private:
-    void markDone(size_t shard);
-    void waitTurn(size_t shard);
-
-    std::mutex _mutex;
-    std::condition_variable _cv;
-    std::vector<bool> _done;
-};
 
 /** Per-shard result of one step. */
 enum class ShardState {
@@ -99,12 +70,6 @@ struct StepReport
 
     /** Indices of shards that completed (Ok or Retried), in order. */
     std::vector<size_t> survivors() const;
-
-    /** Number of surviving shards. */
-    size_t numOk() const { return survivors().size(); }
-
-    /** True when at least one shard was lost this step. */
-    bool degraded() const;
 };
 
 /** Runner configuration. */
@@ -115,74 +80,79 @@ struct ShardRunnerConfig
     size_t maxAttempts = 3;
     /** Exponential backoff base between retries, in milliseconds. */
     double backoffBaseMs = 0.5;
-    /**
-     * On a pool of ONE worker, run the step's shards inline on the
-     * calling thread in shard-index order instead of dispatching them
-     * across threads. Semantically identical to dispatch — a single
-     * FIFO worker also runs shards 0..N-1 sequentially, fault
-     * decisions key on (step, shard, attempt) alone, and ordered
-     * sections are entered in ascending order either way — but skips
-     * the submit/future/wake-up round trip per shard, which is pure
-     * overhead when there is nothing to overlap. Disable to force
-     * dispatch (the equivalence tests A/B the two paths).
-     */
-    bool inlineSingleWorker = true;
+};
+
+/** The codec one step runs (see file comment). */
+struct ShardTask
+{
+    /** Transport task name; empty = no per-candidate worker work (the
+     *  transport is never called and decode receives encode's bytes). */
+    std::string name;
+    /** Coordinator-side: produce the shard's request bytes. Runs on the
+     *  shard's lane when its attempt executes, at most once per step
+     *  unless it (or the worker task) throws. May touch shard-local
+     *  state only. */
+    std::function<std::string(size_t shard)> encode;
+    /** Coordinator-side: apply a surviving shard's response. Called
+     *  after the step barrier, ascending shard order, caller's thread —
+     *  free to touch shared state. */
+    std::function<void(size_t shard, const std::string &response)> decode;
 };
 
 /**
- * Runs the N shards of one search step concurrently and fault-tolerantly
- * on a caller-owned persistent pool.
+ * Runs the N shards of one step across the transport's slots, fault-
+ * tolerantly (see file comment). Shard s is pinned to slot s % slots;
+ * each slot's shards run in ascending order on one I/O lane. One slot
+ * runs on the caller's thread; more slots get one lane thread each.
  */
 class ShardRunner
 {
   public:
     /**
-     * @param pool     Persistent worker pool (outlives the runner). The
-     *                 pool must not run unrelated work during runStep():
-     *                 ordered sections rely on FIFO dispatch of the
-     *                 step's own shard tasks.
-     * @param config   Shard count and retry policy.
-     * @param injector Optional fault oracle; nullptr injects nothing.
+     * @param transport Worker slots (caller-owned, outlives the runner).
+     *                  It must not serve unrelated calls during
+     *                  runStep().
+     * @param config    Shard count and retry policy.
+     * @param injector  Optional fault oracle; nullptr injects nothing.
      */
-    ShardRunner(ThreadPool &pool, ShardRunnerConfig config,
+    ShardRunner(ShardTransport &transport, ShardRunnerConfig config,
                 FaultInjector *injector = nullptr);
 
-    /**
-     * Execute `body(shard)` for every shard of one step and barrier-wait
-     * for all of them. The body may carve out ordered sub-regions with
-     * `OrderedSection::Guard guard(runner.ordered(), shard)`.
-     *
-     * @param step Step index, used to key fault-injection decisions.
-     */
-    StepReport runStep(size_t step,
-                       const std::function<void(size_t shard)> &body);
-
-    /** The step-scoped ordered section (reset by every runStep). */
-    OrderedSection &ordered() { return _ordered; }
-
-    /** Shard count. */
-    size_t numShards() const { return _config.numShards; }
+    /** Execute one step of `task` across all shards and barrier-wait.
+     *  @param step Step index keying fault-injection decisions. */
+    StepReport runStep(size_t step, const ShardTask &task);
 
     /** Cumulative count of degraded (lost) shard-steps. */
     uint64_t degradedShardSteps() const { return _degradedShardSteps; }
 
-    /** Steps executed inline on the caller's thread (single-worker
-     *  fast path) / via pool dispatch — telemetry for the benches and
-     *  the inline-equivalence tests. */
-    uint64_t inlineSteps() const { return _inlineSteps; }
-    uint64_t dispatchedSteps() const { return _dispatchedSteps; }
+    /** Transport failures observed (worker deaths mid-call). */
+    uint64_t transportFailures() const { return _transportFailures; }
 
   private:
-    ShardResult runShard(size_t step, size_t shard,
-                         const std::function<void(size_t)> &body);
+    /** Per-shard, per-step retry state. */
+    struct ShardAttempt
+    {
+        size_t attemptsUsed = 0;
+        std::optional<std::string> request;  ///< cached encode() output
+        std::optional<std::string> response; ///< set on success
+        ShardResult result;
+        bool settled = false; ///< responded or degraded
+    };
 
-    ThreadPool &_pool;
+    /** Drive one shard's attempt loop on its slot. Returns false when
+     *  the worker died mid-call (shard left pending, queued shards
+     *  behind it defer to the next round). */
+    bool runShardAttempts(size_t step, size_t shard, size_t slot,
+                          const ShardTask &task, ShardAttempt &st);
+
+    ShardTransport &_transport;
     ShardRunnerConfig _config;
     FaultInjector *_injector;
-    OrderedSection _ordered;
+    /** One lane thread per slot; null for a single slot, which runs on
+     *  the caller's thread. */
+    std::unique_ptr<ThreadPool> _io;
     uint64_t _degradedShardSteps = 0;
-    uint64_t _inlineSteps = 0;
-    uint64_t _dispatchedSteps = 0;
+    uint64_t _transportFailures = 0;
 };
 
 } // namespace h2o::exec

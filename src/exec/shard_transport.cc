@@ -1,5 +1,8 @@
 #include "exec/shard_transport.h"
 
+#include <stdexcept>
+#include <unistd.h>
+
 #include "common/logging.h"
 
 namespace h2o::exec {
@@ -31,6 +34,40 @@ ProcPoolStats::totalBytes() const
     for (const auto &w : workers)
         n += w.bytesSent + w.bytesReceived;
     return n;
+}
+
+// --------------------------------------------------- InProcessTransport
+
+InProcessTransport::InProcessTransport(size_t slots, std::string task,
+                                       ProcTaskFn fn)
+    : _slots(slots), _task(std::move(task)), _fn(std::move(fn))
+{
+    h2o_assert(_slots > 0, "in-process transport with zero slots");
+}
+
+std::optional<std::string>
+InProcessTransport::call(size_t worker, const std::string &task,
+                         uint64_t step, uint64_t shard,
+                         const std::string &request)
+{
+    h2o_assert(worker < _slots, "in-process slot out of range");
+    if (!_fn || task != _task)
+        throw std::runtime_error("task '" + task +
+                                 "' is not served in-process");
+    return _fn(step, shard, request);
+}
+
+void
+InProcessTransport::killWorker(size_t)
+{
+    h2o_fatal("an in-process slot has no worker process to kill");
+}
+
+pid_t
+InProcessTransport::workerPid(size_t worker) const
+{
+    h2o_assert(worker < _slots, "in-process slot out of range");
+    return ::getpid();
 }
 
 // ------------------------------------------------------- MixedTransport

@@ -1,15 +1,16 @@
 /**
  * @file
  * ShardTransport: the unified coordinator-side interface over worker
- * transports — forked local processes (ProcPool), remote TCP worker
- * daemons (RemotePool), or a mix of both (MixedTransport).
+ * transports — in-process threads (InProcessTransport), forked local
+ * processes (ProcPool), remote TCP worker daemons (RemotePool), or a mix
+ * of the out-of-process kinds (MixedTransport).
  *
- * ProcRunner drives one search step across whatever implements this
+ * ShardRunner drives one search step across whatever implements this
  * interface; because worker tasks are PURE functions of their request
- * bytes (see proc_transport.h), any transport — and any mix of
- * transports — produces byte-identical results to evaluating the same
- * tasks in the coordinator. The interface therefore only has to expose
- * the fault contract the runner builds retries on:
+ * bytes, any transport — and any mix of transports — produces
+ * byte-identical results to evaluating the same tasks in the
+ * coordinator. The interface therefore only has to expose the fault
+ * contract the runner builds retries on:
  *
  *  - call() returns std::nullopt on a TRANSPORT failure (the worker
  *    died: EOF, EPIPE, ECONNRESET, recv timeout). The slot is dead
@@ -25,6 +26,7 @@
 #define H2O_EXEC_SHARD_TRANSPORT_H
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -32,6 +34,16 @@
 #include <vector>
 
 namespace h2o::exec {
+
+/**
+ * A worker-side task: pure function of (step, shard, request bytes).
+ * Runs on a lane thread, inside a forked worker or inside a remote
+ * daemon; may read any state that existed when the worker started but
+ * must not rely on coordinator-side mutations after it. Throwing reports
+ * a task error to the coordinator (warn + retry).
+ */
+using ProcTaskFn = std::function<std::string(
+    uint64_t step, uint64_t shard, const std::string &request)>;
 
 /** Coordinator-side per-worker transport counters. */
 struct ProcWorkerStats
@@ -73,8 +85,9 @@ class ShardTransport
      * Execute one task round trip on a worker slot. Returns the
      * response on success; std::nullopt on a transport failure (the
      * slot is dead until respawnDead()). A task that THREW in the
-     * worker raises std::runtime_error here, mirroring a thrown shard
-     * body in the thread runtime.
+     * worker raises std::runtime_error here (an in-process slot
+     * rethrows the task's own exception); the runner retries the
+     * shard.
      *
      * Thread-safety: call() may run concurrently for DIFFERENT slots
      * (one I/O lane per slot is the intended shape); calls for the
@@ -106,6 +119,36 @@ class ShardTransport
 
     /** Counter snapshot. */
     virtual ProcPoolStats stats() const = 0;
+};
+
+/**
+ * Worker slots in the coordinator process: call() runs the task directly
+ * on the calling lane, so threads are just one more transport. A slot
+ * never dies; stats() is empty (there is no worker process to report
+ * on), and killWorker() is fatal.
+ */
+class InProcessTransport final : public ShardTransport
+{
+  public:
+    /** `slots` (>= 1) lanes serving the one task `fn` under `task`;
+     *  without a task the slots only run steps that call no task. */
+    explicit InProcessTransport(size_t slots, std::string task = {},
+                                ProcTaskFn fn = nullptr);
+
+    size_t size() const override { return _slots; }
+    std::optional<std::string> call(size_t worker, const std::string &task,
+                                    uint64_t step, uint64_t shard,
+                                    const std::string &request) override;
+    bool alive(size_t) const override { return true; }
+    void respawnDead() override {}
+    void killWorker(size_t worker) override;
+    pid_t workerPid(size_t worker) const override;
+    ProcPoolStats stats() const override { return {}; }
+
+  private:
+    size_t _slots;
+    std::string _task;
+    ProcTaskFn _fn;
 };
 
 /**

@@ -2,19 +2,14 @@
  * @file
  * Persistent fixed-size worker pool for the search runtime.
  *
- * The paper's searcher runs each step across 128 accelerator shards; this
- * repository's shards are tasks on a ThreadPool. Two properties matter
- * more than raw throughput:
- *
- *  1. FIFO dispatch: tasks start in submission order. ShardRunner's
- *     deterministic ordered sections rely on this to stay deadlock-free
- *     when there are more shards than workers (a shard only ever waits on
- *     lower-indexed shards, which were submitted — and therefore
- *     dispatched — earlier).
- *  2. Deterministic RNG splitting: splitRngs() derives the per-shard
- *     random streams from the parent stream alone, never from thread
- *     identity or timing, so a search produces bit-identical results at
- *     any pool size (including 1).
+ * The paper's searcher runs each step across 128 accelerator shards;
+ * ShardRunner runs this repository's shards on one lane per transport
+ * slot, and the lanes are tasks on a ThreadPool. Determinism does not
+ * depend on the pool: each lane runs its shards in ascending order, and
+ * splitRngs() derives the per-shard random streams from the parent
+ * stream alone, never from thread identity or timing, so a search
+ * produces bit-identical results at any pool size (including 1). Tasks
+ * start in FIFO order.
  *
  * Workers are created once and reused across all steps of a search,
  * replacing the per-step std::thread spawning the searchers used before.

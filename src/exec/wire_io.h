@@ -6,7 +6,7 @@
  * request/response round-trip helper and one worker-side serve loop —
  * used by BOTH the fork transport (proc_transport.cc, socketpair) and
  * the TCP transport (remote_transport.cc / worker_daemon.cc). Sharing
- * the code is the byte-identity argument: a ProcShardTask frame is the
+ * the code is the byte-identity argument: a ShardTask frame is the
  * same bytes whether it crosses a UNIX socketpair or a TCP connection,
  * because both paths run through these functions.
  *

@@ -2,7 +2,7 @@
  * @file
  * h2o_workerd — a standalone remote worker daemon.
  *
- * Serves the ProcShardTask wire protocol over TCP (see worker_daemon.h)
+ * Serves the ShardTask wire protocol over TCP (see worker_daemon.h)
  * for coordinators started with --workers host:port. This generic shell
  * registers only the built-in "h2o/echo" task (wire-level smoke tests
  * and connectivity probes); real deployments embed exec::WorkerDaemon

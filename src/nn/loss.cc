@@ -20,13 +20,12 @@ sigmoid(double x)
     return e / (1.0 + e);
 }
 
-LossResult
-bceWithLogits(const Tensor &logits, const Tensor &labels)
+double
+bceWithLogits(const Tensor &logits, const Tensor &labels, Tensor &grad)
 {
     h2o_assert(logits.size() == labels.size() && logits.size() > 0,
                "bce shape mismatch");
-    LossResult res;
-    res.grad.resizeUninitialized(logits.shape()); // every element written
+    grad.resizeUninitialized(logits.shape()); // every element written
     double inv = 1.0 / static_cast<double>(logits.size());
     double total = 0.0;
     for (size_t i = 0; i < logits.size(); ++i) {
@@ -35,52 +34,48 @@ bceWithLogits(const Tensor &logits, const Tensor &labels)
         // Stable formulation: max(z,0) - z*y + log(1 + exp(-|z|))
         double loss = std::max(z, 0.0) - z * y + std::log1p(std::exp(-std::abs(z)));
         total += loss;
-        res.grad[i] = static_cast<float>((sigmoid(z) - y) * inv);
+        grad[i] = static_cast<float>((sigmoid(z) - y) * inv);
     }
-    res.value = total * inv;
-    return res;
+    return total * inv;
 }
 
-LossResult
-mseLoss(const Tensor &pred, const Tensor &target)
+double
+mseLoss(const Tensor &pred, const Tensor &target, Tensor &grad)
 {
     h2o_assert(pred.size() == target.size() && pred.size() > 0,
                "mse shape mismatch");
-    LossResult res;
-    res.grad.resizeUninitialized(pred.shape()); // every element written
+    grad.resizeUninitialized(pred.shape()); // every element written
     double inv = 1.0 / static_cast<double>(pred.size());
     double total = 0.0;
     for (size_t i = 0; i < pred.size(); ++i) {
         double d = static_cast<double>(pred[i]) - target[i];
         total += d * d;
-        res.grad[i] = static_cast<float>(2.0 * d * inv);
+        grad[i] = static_cast<float>(2.0 * d * inv);
     }
-    res.value = total * inv;
-    return res;
+    return total * inv;
 }
 
-LossResult
-huberLoss(const Tensor &pred, const Tensor &target, double delta)
+double
+huberLoss(const Tensor &pred, const Tensor &target, double delta,
+          Tensor &grad)
 {
     h2o_assert(pred.size() == target.size() && pred.size() > 0,
                "huber shape mismatch");
     h2o_assert(delta > 0.0, "huber delta must be positive");
-    LossResult res;
-    res.grad.resizeUninitialized(pred.shape()); // every element written
+    grad.resizeUninitialized(pred.shape()); // every element written
     double inv = 1.0 / static_cast<double>(pred.size());
     double total = 0.0;
     for (size_t i = 0; i < pred.size(); ++i) {
         double d = static_cast<double>(pred[i]) - target[i];
         if (std::abs(d) <= delta) {
             total += 0.5 * d * d;
-            res.grad[i] = static_cast<float>(d * inv);
+            grad[i] = static_cast<float>(d * inv);
         } else {
             total += delta * (std::abs(d) - 0.5 * delta);
-            res.grad[i] = static_cast<float>((d > 0 ? delta : -delta) * inv);
+            grad[i] = static_cast<float>((d > 0 ? delta : -delta) * inv);
         }
     }
-    res.value = total * inv;
-    return res;
+    return total * inv;
 }
 
 double

@@ -14,24 +14,26 @@
 
 namespace h2o::nn {
 
-/** Value and gradient of a loss over a batch. */
-struct LossResult
-{
-    double value;  ///< mean loss over the batch
-    Tensor grad;   ///< dL/dlogits, same shape as logits, already / batch
-};
+/*
+ * Each loss returns its mean value over the batch and writes dL/dpred
+ * (same shape as the prediction, already divided by the element count)
+ * into a caller-owned `grad`, resized in place: a grad tensor reused
+ * across training steps allocates only on its first step.
+ */
 
 /**
  * Binary cross-entropy with logits. logits and labels are [batch, 1]
  * (or [batch, k] for multi-task), labels in {0, 1}.
  */
-LossResult bceWithLogits(const Tensor &logits, const Tensor &labels);
+double bceWithLogits(const Tensor &logits, const Tensor &labels,
+                     Tensor &grad);
 
 /** Mean squared error. pred and target must be the same shape. */
-LossResult mseLoss(const Tensor &pred, const Tensor &target);
+double mseLoss(const Tensor &pred, const Tensor &target, Tensor &grad);
 
 /** Huber (smooth-L1) loss with threshold delta. */
-LossResult huberLoss(const Tensor &pred, const Tensor &target, double delta);
+double huberLoss(const Tensor &pred, const Tensor &target, double delta,
+                 Tensor &grad);
 
 /** Mean log-loss (same value as BCE) for evaluation without gradients. */
 double logLoss(const std::vector<double> &probs,

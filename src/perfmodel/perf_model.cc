@@ -65,7 +65,7 @@ PerfModel::train(const std::vector<std::vector<double>> &features,
     double lr = _config.learningRate;
     // Batch staging buffers hoisted out of the epoch loop: every element
     // is overwritten per batch, so steady-state training is alloc-free.
-    nn::Tensor xb(bs, _inputDim), yb(bs, 2);
+    nn::Tensor xb(bs, _inputDim), yb(bs, 2), grad;
     for (size_t epoch = 0; epoch < _config.epochs; ++epoch) {
         _optimizer->setLearningRate(lr);
         lr *= _config.lrDecay;
@@ -88,10 +88,9 @@ PerfModel::train(const std::vector<std::vector<double>> &features,
                 ybd[i * 2 + 1] = yd[src * 2 + 1];
             }
             const nn::Tensor &pred = _mlp->forward(xb);
-            nn::LossResult loss = nn::mseLoss(pred, yb);
-            _mlp->backward(loss.grad);
+            epoch_loss += nn::mseLoss(pred, yb, grad);
+            _mlp->backward(grad);
             _optimizer->step();
-            epoch_loss += loss.value;
             ++batches;
         }
         final_loss = batches ? epoch_loss / double(batches) : 0.0;
@@ -128,6 +127,7 @@ PerfModel::rawLogPredictionBatch(
     _featureNorm.transform(x);
     // forward() mutates layer caches; the model is logically const for
     // prediction. One packed forward serves both heads for every row.
+    std::lock_guard<std::mutex> lock(*_forwardMutex);
     const nn::Tensor &pred = const_cast<nn::Mlp &>(*_mlp).forward(x);
     for (size_t i = 0; i < n; ++i)
         for (size_t h = 0; h < 2; ++h)

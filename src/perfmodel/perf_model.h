@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <istream>
 #include <memory>
+#include <mutex>
 #include <ostream>
 #include <vector>
 
@@ -130,6 +131,12 @@ class PerfModel
 
     size_t _inputDim;
     PerfModelConfig _config;
+    /** Serializes prediction forwards: they write the MLP's layer
+     *  buffers, and a per-candidate perf stage calls predict() from
+     *  several shard lanes at once. Held by pointer so the model stays
+     *  movable. */
+    std::unique_ptr<std::mutex> _forwardMutex =
+        std::make_unique<std::mutex>();
     std::unique_ptr<nn::Mlp> _mlp;
     std::unique_ptr<nn::AdamOptimizer> _optimizer;
     nn::Normalizer _featureNorm;

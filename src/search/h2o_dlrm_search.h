@@ -24,12 +24,12 @@
  * replaces the train/validation split (Section 4.1).
  *
  * Execution model: steps run on the h2o::exec runtime. Shards of one
- * step execute concurrently on a persistent worker pool (threads stand
- * in for TPU cores); policy sampling, perf-model queries and reward
- * computation are fully parallel, while the shared super-network and the
- * batch pipeline are entered through a deterministic shard-index-ordered
- * critical section. The cross-shard aggregation therefore stays
- * bit-for-bit identical to a serial run at any thread count. With a
+ * step draw their candidates concurrently on the engine's lanes
+ * (threads stand in for TPU cores), and per-candidate perf queries run
+ * there too; the shared super-network and the batch pipeline are
+ * entered after the step barrier, in shard-index order, on the caller's
+ * thread. The cross-shard aggregation therefore stays bit-for-bit
+ * identical to a serial run at any thread count. With a
  * FaultInjector attached, the runtime also reproduces the paper's
  * preemptible-fleet reality: failed shards retry with backoff, preempted
  * shards are dropped and the step aggregates over the survivors with
@@ -75,33 +75,21 @@ struct H2oSearchConfig
     size_t warmupSteps = 30;
     controller::ReinforceConfig rl{};
 
-    /**
-     * Batched quality stage: shard bodies only DRAW their candidates
-     * (so fault/RNG semantics are unchanged), and the step's gradient
-     * accumulation runs as one coordinator-side pass over the survivors
-     * in ascending shard order — exactly the order the per-shard path's
-     * ordered section serializes to, so results are bit-identical at
-     * any thread count. Disable to A/B against the per-shard path.
-     */
-    bool batchedQuality = true;
-
     // --- Execution runtime (h2o::exec).
     /** Worker threads for shard evaluation; 0 = one per hardware
      *  thread. Clamped to numShards. Any value yields bit-identical
      *  results at the same seed. */
     size_t threads = 0;
-    /** Worker PROCESSES for the shard stage (multi-process transport,
-     *  see eval::EvalEngineConfig::procs). 0 = in-process threads.
-     *  Requires batchedQuality — the supernet forward needs the shared
-     *  weights, which live coordinator-side; shard bodies then only
-     *  draw (coordinator) while workers run the pure per-candidate
-     *  work. Any value is byte-identical. */
+    /** Worker PROCESSES for the per-candidate performance stage
+     *  (multi-process transport, see eval::EvalEngineConfig::procs).
+     *  0 = in-process threads. The supernet pass needs the shared
+     *  weights, so it stays coordinator-side; workers only run a pure
+     *  PerfFn. Any value is byte-identical. */
     size_t procs = 0;
-    /** Remote worker daemons for the shard stage, comma-separated
-     *  ("host:port" or "local"; eval::EvalEngineConfig::workers).
-     *  Combines with procs into one mixed pool. Requires
-     *  batchedQuality for the same reason procs does. Empty = none;
-     *  any fleet shape is byte-identical. */
+    /** Remote worker daemons for the per-candidate performance stage,
+     *  comma-separated ("host:port" or "local";
+     *  eval::EvalEngineConfig::workers). Combines with procs into one
+     *  mixed pool. Empty = none; any fleet shape is byte-identical. */
     std::string workers;
     /** Optional fault oracle (preemptible-fleet emulation); not owned. */
     exec::FaultInjector *faults = nullptr;
@@ -144,10 +132,10 @@ class H2oDlrmSearch
      * @param space    DLRM search space.
      * @param supernet Trainable weight-sharing super-network.
      * @param pipe     In-memory production-traffic pipeline.
-     * @param perf     Performance signal (thread-safe). Runs per
-     *                 candidate INSIDE the shard body, so a blocking
+     * @param perf     Performance signal (pure, thread-safe). Runs
+     *                 per candidate on the shard's lane, so a blocking
      *                 function (device-in-the-loop) overlaps across
-     *                 worker threads.
+     *                 lanes.
      * @param rewardf  Multi-objective reward.
      */
     H2oDlrmSearch(const searchspace::DlrmSearchSpace &space,

@@ -24,7 +24,6 @@ class SurrogateStepper final : public StepwiseSearch
         eval::EvalEngineConfig ec;
         ec.numShards = c.samplesPerStep;
         ec.threads = c.threads;
-        ec.multithread = c.multithread;
         ec.faults = c.faults;
         ec.maxShardAttempts = c.maxShardAttempts;
         ec.retryBackoffMs = c.retryBackoffMs;
@@ -53,11 +52,9 @@ class SurrogateStepper final : public StepwiseSearch
         const size_t step = _next;
 
         // Stages (1)-(2) of Figure 2, per shard: sample a candidate from
-        // pi on the shard's own stream, then evaluate quality — inside
-        // the shard body on the thread path, inside the worker processes
-        // when procs > 0 (the engine holds the pure quality functor; the
-        // draw stays coordinator-side either way). Shards share no
-        // mutable state, so no ordered section is needed here.
+        // pi on the shard's own stream, then evaluate its pure quality
+        // in the engine's eval task — on an in-process lane, a forked
+        // worker or a remote daemon; the draw stays coordinator-side.
         auto ev = _engine.evaluate(
             step, [&](size_t s, searchspace::Sample &sample) {
                 sample = _controller.policy().sample(_rngs[s]);

@@ -99,14 +99,10 @@ struct SurrogateSearchConfig
     size_t numSteps = 200;
     size_t samplesPerStep = 16; ///< parallel shards per step
     controller::ReinforceConfig rl{};
-    /** Evaluate shards on the worker pool; false forces a pool of one
-     *  worker (results are bit-identical either way). */
-    bool multithread = true;
-    /** Worker threads when multithread; 0 = one per hardware thread.
-     *  Clamped to samplesPerStep. When the pool resolves to ONE worker
-     *  the engine runs shard bodies inline on the caller's thread
-     *  (eval::EvalEngineConfig::inlineSingleThread) — same results,
-     *  no cross-thread dispatch. */
+    /** In-process lanes (worker threads); 0 = one per hardware
+     *  thread. Clamped to samplesPerStep; one lane runs on the caller's
+     *  thread with no pool at all. Results are bit-identical at any
+     *  value. */
     size_t threads = 0;
     /** Worker PROCESSES for the shard stage (multi-process transport;
      *  see eval::EvalEngineConfig::procs). 0 = in-process threads.
@@ -134,11 +130,12 @@ class SurrogateSearch
   public:
     /**
      * @param space   Decision space.
-     * @param quality Quality signal (must be thread-safe if multithread).
-     * @param perf    Performance signal (same thread-safety requirement).
-     *                Runs per candidate INSIDE the shard body, so a
-     *                blocking function (device-in-the-loop) overlaps
-     *                across worker threads.
+     * @param quality Quality signal (pure; thread-safe when threads
+     *                != 1).
+     * @param perf    Performance signal (same requirements). Runs per
+     *                candidate on the shard's lane, so a blocking
+     *                function (device-in-the-loop) overlaps across
+     *                lanes.
      * @param rewardf Multi-objective reward combining the two.
      */
     SurrogateSearch(const searchspace::DecisionSpace &space,

@@ -4,8 +4,6 @@
 #include "common/serialize.h"
 #include "eval/eval_engine.h"
 #include "exec/fault_injector.h"
-#include "exec/shard_runner.h"
-#include "exec/thread_pool.h"
 #include "search/stepwise.h"
 
 namespace h2o::search {
@@ -23,15 +21,9 @@ class TunasStepper final : public StepwiseSearch
     static eval::EvalEngineConfig
     engineConfig(const TunasSearchConfig &c)
     {
-        if ((c.procs > 0 || !c.workers.empty()) && !c.batchedQuality)
-            h2o_fatal("procs > 0 or remote workers require "
-                      "batchedQuality: the per-shard quality body "
-                      "closes over the shared supernet, which cannot "
-                      "cross the process boundary");
         eval::EvalEngineConfig ec;
         ec.numShards = 1;
         ec.threads = 1;
-        ec.multithread = false;
         ec.faults = c.faults;
         ec.maxShardAttempts = c.maxShardAttempts;
         ec.retryBackoffMs = c.retryBackoffMs;
@@ -45,8 +37,8 @@ class TunasStepper final : public StepwiseSearch
           _controller(owner._space.decisions(), owner._config.rl),
           _sampleRng(rng.fork(1)),
           // TuNAS "was not built for hyperscale deployments, and
-          // therefore lacks parallelism": a single worker and a single
-          // shard, executed inline on the calling thread (see run()).
+          // therefore lacks parallelism": a single shard on a single
+          // lane, which runs on the calling thread.
           _engine(owner._perf, owner._reward,
                   engineConfig(owner._config))
     {
@@ -58,71 +50,60 @@ class TunasStepper final : public StepwiseSearch
         if (done())
             return false;
         auto &cfg = _owner._config;
-        exec::ShardRunner &runner = _engine.runner();
 
+        // One supernet training step on the candidate the step drew:
+        // warm-up and W-steps draw on the engine (keeping the fault-step
+        // sequence contiguous) and train after the barrier.
+        searchspace::Sample sample;
+        auto train = [&](size_t) {
+            auto lease = _owner._pipeline.lease();
+            _owner._supernet.configure(sample);
+            _owner._supernet.accumulateGradients(lease.batch());
+            lease.markAlphaUse(); // pipeline ordering contract
+            lease.markWeightUse();
+            _owner._supernet.applyGradients(cfg.weightLr);
+        };
         if (!_warmed) {
             for (size_t step = 0; step < cfg.warmupSteps; ++step) {
-                runner.runStep(step, [&](size_t) {
-                    auto sample = _owner._space.decisions().uniformSample(
-                        _sampleRng);
-                    auto lease = _owner._pipeline.lease();
-                    _owner._supernet.configure(sample);
-                    _owner._supernet.accumulateGradients(lease.batch());
-                    lease.markAlphaUse(); // pipeline ordering contract
-                    lease.markWeightUse();
-                    _owner._supernet.applyGradients(cfg.weightLr);
-                });
+                _engine.runStep(
+                    step,
+                    [&](size_t) {
+                        sample = _owner._space.decisions().uniformSample(
+                            _sampleRng);
+                    },
+                    train);
             }
             _warmed = true;
         }
 
         const size_t iter = _next;
-        // --- W-step on a "training" batch (no candidate evaluation —
-        // the runner alone keeps the fault-step sequence contiguous).
-        runner.runStep(cfg.warmupSteps + 2 * iter, [&](size_t) {
-            auto sample = _controller.policy().sample(_sampleRng);
-            auto lease = _owner._pipeline.lease();
-            _owner._supernet.configure(sample);
-            _owner._supernet.accumulateGradients(lease.batch());
-            lease.markAlphaUse();
-            lease.markWeightUse();
-            _owner._supernet.applyGradients(cfg.weightLr);
-        });
+        // --- W-step on a "training" batch (no candidate evaluation).
+        _engine.runStep(
+            cfg.warmupSteps + 2 * iter,
+            [&](size_t) {
+                sample = _controller.policy().sample(_sampleRng);
+            },
+            train);
         // --- pi-step on a separate "validation" batch (never trains W):
-        // pure no-grad candidate evaluation. In batched mode (default)
-        // the shard body only draws the sample and the supernet's packed
-        // multi-candidate pass computes the quality; per-candidate mode
-        // calls evaluate() inside the shard body. Bit-identical.
-        auto ev =
-            cfg.batchedQuality
-                ? _engine.evaluate(
-                      cfg.warmupSteps + 2 * iter + 1,
-                      [&](size_t, searchspace::Sample &sample) {
-                          sample = _controller.policy().sample(_sampleRng);
-                      },
-                      [&](std::span<const size_t>,
-                          std::span<const searchspace::Sample> samples) {
-                          auto lease = _owner._pipeline.lease();
-                          auto res = _owner._supernet.evaluateBatch(
-                              samples, lease.batch());
-                          lease.markAlphaUse();
-                          std::vector<double> qs(res.size());
-                          for (size_t i = 0; i < res.size(); ++i)
-                              qs[i] = res[i].quality();
-                          return qs;
-                      })
-                : _engine.evaluate(
-                      cfg.warmupSteps + 2 * iter + 1,
-                      [&](size_t, searchspace::Sample &sample,
-                          double &quality) {
-                          sample = _controller.policy().sample(_sampleRng);
-                          auto lease = _owner._pipeline.lease();
-                          _owner._supernet.configure(sample);
-                          auto eval_res =
-                              _owner._supernet.evaluate(lease.batch());
-                          lease.markAlphaUse();
-                          quality = eval_res.quality();
-                      });
+        // pure no-grad candidate evaluation. The shard only draws the
+        // sample; the supernet's packed multi-candidate pass computes
+        // the quality after the barrier.
+        auto ev = _engine.evaluate(
+            cfg.warmupSteps + 2 * iter + 1,
+            [&](size_t, searchspace::Sample &drawn) {
+                drawn = _controller.policy().sample(_sampleRng);
+            },
+            [&](std::span<const size_t>,
+                std::span<const searchspace::Sample> samples) {
+                auto lease = _owner._pipeline.lease();
+                auto res = _owner._supernet.evaluateBatch(samples,
+                                                          lease.batch());
+                lease.markAlphaUse();
+                std::vector<double> qs(res.size());
+                for (size_t i = 0; i < res.size(); ++i)
+                    qs[i] = res[i].quality();
+                return qs;
+            });
         ++_next;
         if (ev.survivors.empty())
             return !done(); // preempted pi-step: the iteration is lost

@@ -40,21 +40,15 @@ struct TunasSearchConfig
     double weightLr = 0.05;
     size_t warmupSteps = 30;
     controller::ReinforceConfig rl{};
-    /** Run the pi-step's candidate evaluation through the supernet's
-     *  packed multi-candidate pass (DlrmSupernet::evaluateBatch) instead
-     *  of a per-candidate evaluate() call. Bit-identical results (TuNAS
-     *  evaluates one candidate per step, so this exercises the n=1
-     *  packed path); disable to A/B. */
-    bool batchedQuality = true;
-    /** Worker PROCESSES for the pi-step's shard stage (multi-process
-     *  transport; clamped to the single TuNAS shard, so at most one
-     *  worker forks). Requires batchedQuality — the supernet lives
+    /** Worker PROCESSES for the pi-step's per-candidate performance
+     *  stage (multi-process transport; clamped to the single TuNAS
+     *  shard, so at most one worker forks). The supernet lives
      *  coordinator-side. 0 = in-process. Byte-identical either way. */
     size_t procs = 0;
-    /** Remote worker daemons for the pi-step's shard stage,
-     *  comma-separated ("host:port" or "local";
-     *  eval::EvalEngineConfig::workers). Requires batchedQuality like
-     *  procs. Empty = none; byte-identical either way. */
+    /** Remote worker daemons for the pi-step's per-candidate
+     *  performance stage, comma-separated ("host:port" or "local";
+     *  eval::EvalEngineConfig::workers). Empty = none; byte-identical
+     *  either way. */
     std::string workers;
     /** Optional fault oracle; TuNAS has a single (non-sharded) worker,
      *  so a preempted step is simply lost. Not owned. */

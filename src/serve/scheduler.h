@@ -23,7 +23,7 @@
  *
  * Deadlock-freedom: slices are the only tasks submitted to the server
  * pool, and a slice never blocks on another slice — jobs evaluate
- * candidates inline (their engines are configured single-threaded), the
+ * candidates on the slice's thread (their engines have one lane), the
  * shared cache computes misses on the calling thread, and every lock
  * (queue, telemetry, cache stripes) is leaf-level. The barrier in
  * runRound() runs on the coordinator thread, which is not a pool

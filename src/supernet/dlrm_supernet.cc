@@ -665,9 +665,11 @@ DlrmSupernet::accumulateGradients(const pipeline::Batch &batch)
     nn::Tensor &labels = _ws.scratch("labels", batch.size(), 1);
     for (size_t i = 0; i < batch.size(); ++i)
         labels.at(i, 0) = batch.examples[i].label;
-    nn::LossResult loss = nn::bceWithLogits(logits, labels);
-    backward(loss.grad);
-    return loss.value;
+    nn::Tensor &grad =
+        _ws.scratch("loss_grad", logits.rows(), logits.cols());
+    double loss = nn::bceWithLogits(logits, labels, grad);
+    backward(grad);
+    return loss;
 }
 
 void

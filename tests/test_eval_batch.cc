@@ -209,7 +209,6 @@ runBatchedSearch(size_t threads)
     sr::SurrogateSearchConfig cfg;
     cfg.numSteps = 60;
     cfg.samplesPerStep = 8;
-    cfg.multithread = true;
     cfg.threads = threads;
     cfg.rl.learningRate = 0.15;
     ev::PerfBatchFn perf_batch =
@@ -252,35 +251,36 @@ TEST(EvalEngine, BatchPathBitIdenticalAcrossThreadCounts)
     expect_identical(t1, t8);
 }
 
-// ------------------------------------------- inline single-worker path
+// ------------------------------------------- lanes 1 / 2 / 8, faults on
 
 namespace {
 
-/** One engine run (threads=1) with faults and an ordered section; the
- *  `inline_path` flag A/Bs the caller-thread fast path against forced
- *  pool dispatch. Returns everything observable. */
-struct InlineRunResult
+/** One engine run with faults at `threads` lanes. Every other step is a
+ *  batched-quality evaluation, the rest are evaluations with the pure
+ *  quality and non-evaluation runStep()s. Returns everything
+ *  observable. */
+struct LaneRunResult
 {
     std::vector<ev::StepEval> evals;
-    std::vector<size_t> ordered_entries; ///< shard ids, in entry order
+    std::vector<ex::StepReport> reports;
+    std::vector<size_t> decode_order;    ///< shard ids, in apply order
+    std::vector<size_t> quality_order;   ///< shard ids, batched quality
     std::vector<double> rng_probes;      ///< post-run per-shard draws
-    uint64_t inline_steps = 0;
-    uint64_t dispatched_steps = 0;
 };
 
-InlineRunResult
-runSingleWorker(bool inline_path)
+LaneRunResult
+runAtLanes(size_t threads)
 {
     ToyTask task;
     rw::ReluReward reward({{"cost", 2.0, -2.0}});
     ex::FaultInjector faults({0.15, 0.0, 0.0, 0.2, 77});
-    const size_t shards = 6, steps = 20;
+    const size_t shards = 6, steps = 30;
 
     ev::EvalEngineConfig cfg;
     cfg.numShards = shards;
-    cfg.threads = 1;
+    cfg.threads = threads;
     cfg.faults = &faults;
-    cfg.inlineSingleThread = inline_path;
+    cfg.retryBackoffMs = 0.0;
     ev::PerfBatchFn perf_batch =
         [&](std::span<const ss::Sample> samples) {
             std::vector<std::vector<double>> out;
@@ -288,76 +288,109 @@ runSingleWorker(bool inline_path)
                 out.push_back(task.perf(s));
             return out;
         };
-    ev::EvalEngine engine(perf_batch, reward, cfg);
+    ev::EvalEngine engine(
+        perf_batch, reward, cfg,
+        [&task](const ss::Sample &s) { return task.quality(s); });
 
     std::vector<Rng> shard_rngs;
     for (size_t s = 0; s < shards; ++s)
         shard_rngs.emplace_back(300 + s);
+    auto draw = [&](size_t s, ss::Sample &sample) {
+        sample = task.space.uniformSample(shard_rngs[s]);
+    };
 
-    InlineRunResult run;
+    LaneRunResult run;
     for (size_t step = 0; step < steps; ++step) {
-        run.evals.push_back(engine.evaluate(
-            step, [&](size_t s, ss::Sample &sample, double &quality) {
-                sample = task.space.uniformSample(shard_rngs[s]);
-                quality = task.quality(sample);
-                // Shared-resource region: both paths must admit shards
-                // strictly in index order (degraded shards skipped).
-                ex::OrderedSection::Guard guard(engine.runner().ordered(),
-                                                s);
-                run.ordered_entries.push_back(s);
-            }));
+        switch (step % 3) {
+        case 0:
+            run.evals.push_back(engine.evaluate(step, draw));
+            break;
+        case 1: {
+            std::vector<size_t> order;
+            run.evals.push_back(engine.evaluate(
+                step, draw,
+                [&](std::span<const size_t> live,
+                    std::span<const ss::Sample> samples) {
+                    order.assign(live.begin(), live.end());
+                    std::vector<double> qs;
+                    for (const auto &sample : samples)
+                        qs.push_back(task.quality(sample));
+                    return qs;
+                }));
+            // The batched quality sees the survivors, ascending.
+            if (!run.evals.back().survivors.empty()) {
+                EXPECT_EQ(order, run.evals.back().survivors);
+            }
+            run.quality_order.insert(run.quality_order.end(),
+                                     order.begin(), order.end());
+            break;
+        }
+        default: {
+            std::vector<ss::Sample> drawn(shards);
+            std::vector<size_t> order;
+            run.reports.push_back(engine.runStep(
+                step, [&](size_t s) { draw(s, drawn[s]); },
+                [&](size_t s) { order.push_back(s); }));
+            // Decode runs once per survivor, ascending.
+            EXPECT_EQ(order, run.reports.back().survivors());
+            run.decode_order.insert(run.decode_order.end(),
+                                    order.begin(), order.end());
+        }
+        }
     }
-    run.inline_steps = engine.runner().inlineSteps();
-    run.dispatched_steps = engine.runner().dispatchedSteps();
-    // Probe each shard's stream position: equal probes mean the two
-    // paths advanced every stream identically — including NOT advancing
-    // the streams of degraded shards.
+    // Probe each shard's stream position: equal probes mean every run
+    // advanced every stream identically — including NOT advancing the
+    // streams of degraded shards.
     for (size_t s = 0; s < shards; ++s)
         run.rng_probes.push_back(double(
             task.space.uniformSample(shard_rngs[s])[0]));
     return run;
 }
 
+void
+expectSameReport(const ex::StepReport &a, const ex::StepReport &b)
+{
+    ASSERT_EQ(a.shards.size(), b.shards.size());
+    for (size_t s = 0; s < a.shards.size(); ++s) {
+        EXPECT_EQ(a.shards[s].state, b.shards[s].state);
+        EXPECT_EQ(a.shards[s].attempts, b.shards[s].attempts);
+    }
+}
+
 } // namespace
 
-TEST(EvalEngine, InlinePathBitIdenticalToForcedDispatch)
+TEST(EvalEngine, BitIdenticalAt1_2_8LanesWithFaults)
 {
-    InlineRunResult inl = runSingleWorker(/*inline_path=*/true);
-    InlineRunResult disp = runSingleWorker(/*inline_path=*/false);
-
-    // The two runs took the paths they were asked to take.
-    EXPECT_EQ(inl.inline_steps, inl.evals.size());
-    EXPECT_EQ(inl.dispatched_steps, 0u);
-    EXPECT_EQ(disp.inline_steps, 0u);
-    EXPECT_EQ(disp.dispatched_steps, disp.evals.size());
-
-    ASSERT_EQ(inl.evals.size(), disp.evals.size());
+    LaneRunResult t1 = runAtLanes(1);
     size_t degraded_total = 0;
-    for (size_t i = 0; i < inl.evals.size(); ++i) {
-        const ev::StepEval &a = inl.evals[i];
-        const ev::StepEval &b = disp.evals[i];
-        EXPECT_EQ(a.samples, b.samples) << "step " << i;
-        EXPECT_EQ(a.qualities, b.qualities) << "step " << i;
-        EXPECT_EQ(a.performance, b.performance) << "step " << i;
-        EXPECT_EQ(a.rewards, b.rewards) << "step " << i;
-        EXPECT_EQ(a.survivors, b.survivors) << "step " << i;
-        ASSERT_EQ(a.report.shards.size(), b.report.shards.size());
-        for (size_t s = 0; s < a.report.shards.size(); ++s) {
-            EXPECT_EQ(a.report.shards[s].state, b.report.shards[s].state);
-            EXPECT_EQ(a.report.shards[s].attempts,
-                      b.report.shards[s].attempts);
-        }
-        degraded_total +=
-            a.report.shards.size() - a.survivors.size();
-    }
+    for (const ev::StepEval &e : t1.evals)
+        degraded_total += e.report.shards.size() - e.survivors.size();
     // The fault rates above must actually have degraded shards, or the
     // RNG non-advancement half of the check is vacuous.
     EXPECT_GT(degraded_total, 0u);
+    EXPECT_FALSE(t1.decode_order.empty());
+    EXPECT_FALSE(t1.quality_order.empty());
 
-    // Ordered sections admitted shards in the same (ascending) order.
-    EXPECT_EQ(inl.ordered_entries, disp.ordered_entries);
-    // Every shard's RNG stream ended at the same position.
-    EXPECT_EQ(inl.rng_probes, disp.rng_probes);
+    for (size_t threads : {2u, 8u}) {
+        LaneRunResult tn = runAtLanes(threads);
+        ASSERT_EQ(t1.evals.size(), tn.evals.size());
+        for (size_t i = 0; i < t1.evals.size(); ++i) {
+            const ev::StepEval &a = t1.evals[i];
+            const ev::StepEval &b = tn.evals[i];
+            EXPECT_EQ(a.samples, b.samples) << "eval " << i;
+            EXPECT_EQ(a.qualities, b.qualities) << "eval " << i;
+            EXPECT_EQ(a.performance, b.performance) << "eval " << i;
+            EXPECT_EQ(a.rewards, b.rewards) << "eval " << i;
+            EXPECT_EQ(a.survivors, b.survivors) << "eval " << i;
+            expectSameReport(a.report, b.report);
+        }
+        ASSERT_EQ(t1.reports.size(), tn.reports.size());
+        for (size_t i = 0; i < t1.reports.size(); ++i)
+            expectSameReport(t1.reports[i], tn.reports[i]);
+        EXPECT_EQ(t1.decode_order, tn.decode_order) << threads;
+        EXPECT_EQ(t1.quality_order, tn.quality_order) << threads;
+        EXPECT_EQ(t1.rng_probes, tn.rng_probes) << threads;
+    }
 }
 
 // ------------------------------------------------- fault degradation
@@ -382,7 +415,9 @@ TEST(EvalEngine, FaultsDropCandidatesFromBatchGracefully)
     ev::EvalEngineConfig cfg;
     cfg.numShards = shards;
     cfg.faults = &faults;
-    ev::EvalEngine engine(perf_batch, reward, cfg);
+    ev::EvalEngine engine(
+        perf_batch, reward, cfg,
+        [&task](const ss::Sample &s) { return task.quality(s); });
 
     std::vector<Rng> shard_rngs;
     for (size_t s = 0; s < shards; ++s)
@@ -392,10 +427,9 @@ TEST(EvalEngine, FaultsDropCandidatesFromBatchGracefully)
     std::vector<size_t> body_runs(shards, 0);
     for (size_t step = 0; step < steps; ++step) {
         auto step_eval = engine.evaluate(
-            step, [&](size_t s, ss::Sample &sample, double &quality) {
+            step, [&](size_t s, ss::Sample &sample) {
                 ++body_runs[s];
                 sample = task.space.uniformSample(shard_rngs[s]);
-                quality = task.quality(sample);
             });
 
         // Survivors ascending, consistent with the runner's report.
@@ -462,7 +496,9 @@ TEST(EvalEngine, TransientFailuresRetryToFullBatch)
     ev::EvalEngineConfig cfg;
     cfg.numShards = shards;
     cfg.faults = &faults;
-    ev::EvalEngine engine(perf_batch, reward, cfg);
+    ev::EvalEngine engine(
+        perf_batch, reward, cfg,
+        [&task](const ss::Sample &s) { return task.quality(s); });
 
     std::vector<Rng> shard_rngs;
     for (size_t s = 0; s < shards; ++s)
@@ -471,9 +507,8 @@ TEST(EvalEngine, TransientFailuresRetryToFullBatch)
     size_t retried = 0;
     for (size_t step = 0; step < steps; ++step) {
         auto step_eval = engine.evaluate(
-            step, [&](size_t s, ss::Sample &sample, double &quality) {
+            step, [&](size_t s, ss::Sample &sample) {
                 sample = task.space.uniformSample(shard_rngs[s]);
-                quality = task.quality(sample);
             });
         for (size_t s = 0; s < shards; ++s) {
             const auto &res = step_eval.report.shards[s];

@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for the h2o::exec runtime: thread-pool and RNG-splitting
- * determinism, ordered-section sequencing (including more shards than
- * workers), seeded fault injection with retry/degradation, atomic
+ * determinism, the shard runner on in-process lanes (ascending decode
+ * with more shards than lanes, seeded fault injection with
+ * retry/degradation, throwing tasks), atomic
  * checkpoint files, and the end-to-end contracts of the unified
  * single-step search on top of the runtime — bit-identical outcomes at
  * any thread count, checkpoint/resume to an identical outcome, and
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -26,6 +28,7 @@
 #include "exec/checkpoint.h"
 #include "exec/fault_injector.h"
 #include "exec/shard_runner.h"
+#include "exec/shard_transport.h"
 #include "exec/thread_pool.h"
 #include "pipeline/pipeline.h"
 #include "reward/reward.h"
@@ -96,41 +99,6 @@ TEST(ThreadPool, SplitRngsMatchesSerialForkConvention)
     }
 }
 
-// ------------------------------------------------------ OrderedSection
-
-TEST(OrderedSection, AdmitsShardsInIndexOrder)
-{
-    ex::ThreadPool pool(4);
-    ex::ShardRunner runner(pool, {8, 1, 0.0});
-    std::vector<size_t> order;
-    runner.runStep(0, [&](size_t s) {
-        ex::OrderedSection::Guard guard(runner.ordered(), s);
-        order.push_back(s);
-    });
-    std::vector<size_t> expected = {0, 1, 2, 3, 4, 5, 6, 7};
-    EXPECT_EQ(order, expected);
-}
-
-TEST(OrderedSection, NoDeadlockWithMoreShardsThanWorkers)
-{
-    // FIFO dispatch guarantees the lowest not-done shard is always
-    // running or next in the queue, so ordered sections cannot deadlock
-    // even when shards outnumber workers.
-    ex::ThreadPool pool(2);
-    ex::ShardRunner runner(pool, {16, 1, 0.0});
-    std::vector<size_t> order;
-    for (size_t step = 0; step < 5; ++step) {
-        order.clear();
-        runner.runStep(step, [&](size_t s) {
-            ex::OrderedSection::Guard guard(runner.ordered(), s);
-            order.push_back(s);
-        });
-        ASSERT_EQ(order.size(), 16u);
-        for (size_t s = 0; s < 16; ++s)
-            EXPECT_EQ(order[s], s);
-    }
-}
-
 // ------------------------------------------------------- FaultInjector
 
 TEST(FaultInjector, DecisionsArePureAndSeeded)
@@ -183,30 +151,71 @@ TEST(FaultInjector, RatesRoughlyHonored)
 
 // --------------------------------------------------------- ShardRunner
 
+namespace {
+
+/** A step with no worker task: encode counts its calls, decode records
+ *  the order shards are applied in. */
+ex::ShardTask
+localTask(std::atomic<size_t> &encoded, std::vector<size_t> &decoded)
+{
+    ex::ShardTask task;
+    task.encode = [&encoded](size_t s) {
+        encoded.fetch_add(1);
+        return std::to_string(s);
+    };
+    task.decode = [&decoded](size_t s, const std::string &bytes) {
+        EXPECT_EQ(bytes, std::to_string(s)); // decode gets encode's bytes
+        decoded.push_back(s);
+    };
+    return task;
+}
+
+} // namespace
+
+TEST(ShardRunner, DecodesSurvivorsInAscendingOrder)
+{
+    // More shards than lanes: each lane runs its shards ascending and
+    // decode runs after the barrier, ascending, on this thread.
+    for (size_t lanes : {1u, 2u, 4u}) {
+        ex::InProcessTransport transport(lanes);
+        ex::ShardRunner runner(transport, {16, 1, 0.0});
+        for (size_t step = 0; step < 5; ++step) {
+            std::atomic<size_t> encoded{0};
+            std::vector<size_t> decoded;
+            runner.runStep(step, localTask(encoded, decoded));
+            ASSERT_EQ(decoded.size(), 16u);
+            for (size_t s = 0; s < 16; ++s)
+                EXPECT_EQ(decoded[s], s);
+            EXPECT_EQ(encoded.load(), 16u);
+        }
+    }
+}
+
 TEST(ShardRunner, RetriesTransientFailures)
 {
     ex::FaultConfig cfg;
     cfg.failProb = 0.5;
     cfg.seed = 11;
     ex::FaultInjector inj(cfg);
-    ex::ThreadPool pool(4);
-    ex::ShardRunner runner(pool, {8, 5, 0.0}, &inj);
-    std::atomic<size_t> executed{0};
+    ex::InProcessTransport transport(4);
+    ex::ShardRunner runner(transport, {8, 5, 0.0}, &inj);
+    std::atomic<size_t> encoded{0};
     size_t retried = 0, degraded = 0;
     for (size_t step = 0; step < 20; ++step) {
-        auto report =
-            runner.runStep(step, [&](size_t) { executed.fetch_add(1); });
+        std::vector<size_t> decoded;
+        auto report = runner.runStep(step, localTask(encoded, decoded));
         for (const auto &r : report.shards) {
             if (r.state == ex::ShardState::Retried)
                 ++retried;
             if (r.state == ex::ShardState::Degraded)
                 ++degraded;
         }
+        EXPECT_EQ(decoded, report.survivors());
     }
     EXPECT_GT(retried, 0u);            // some shards needed retries
     EXPECT_GT(inj.stats().failures.load(), 0u);
-    // Every shard either executed its body once or was declared lost.
-    EXPECT_EQ(executed.load() + degraded, 20u * 8u);
+    // Every shard either encoded once or was declared lost.
+    EXPECT_EQ(encoded.load() + degraded, 20u * 8u);
 }
 
 TEST(ShardRunner, PreemptedShardsAreDroppedNotRetried)
@@ -214,14 +223,14 @@ TEST(ShardRunner, PreemptedShardsAreDroppedNotRetried)
     ex::FaultConfig cfg;
     cfg.preemptProb = 1.0;
     ex::FaultInjector inj(cfg);
-    ex::ThreadPool pool(2);
-    ex::ShardRunner runner(pool, {4, 3, 0.0}, &inj);
-    std::atomic<size_t> executed{0};
-    auto report =
-        runner.runStep(0, [&](size_t) { executed.fetch_add(1); });
-    EXPECT_EQ(executed.load(), 0u);
+    ex::InProcessTransport transport(2);
+    ex::ShardRunner runner(transport, {4, 3, 0.0}, &inj);
+    std::atomic<size_t> encoded{0};
+    std::vector<size_t> decoded;
+    auto report = runner.runStep(0, localTask(encoded, decoded));
+    EXPECT_EQ(encoded.load(), 0u);
+    EXPECT_TRUE(decoded.empty());
     EXPECT_TRUE(report.survivors().empty());
-    EXPECT_TRUE(report.degraded());
     for (const auto &r : report.shards) {
         EXPECT_EQ(r.state, ex::ShardState::Degraded);
         EXPECT_EQ(r.attempts, 1u);
@@ -229,41 +238,65 @@ TEST(ShardRunner, PreemptedShardsAreDroppedNotRetried)
     EXPECT_EQ(runner.degradedShardSteps(), 4u);
 }
 
-TEST(ShardRunner, BodyExceptionsCountAsFailures)
+TEST(ShardRunner, TaskExceptionsCountAsFailures)
 {
-    ex::ThreadPool pool(2);
-    ex::ShardRunner runner(pool, {4, 3, 0.0});
-    auto report = runner.runStep(0, [&](size_t s) {
-        ex::OrderedSection::Guard guard(runner.ordered(), s);
-        if (s == 2)
-            throw std::runtime_error("shard blew up");
-    });
-    auto live = report.survivors();
+    // An in-process slot runs the task on its lane; a task that throws
+    // consumes the attempt and the shard re-encodes for the next one.
+    ex::InProcessTransport transport(
+        2, "test/throw_on_2",
+        [](uint64_t, uint64_t shard, const std::string &request) {
+            if (shard == 2)
+                throw std::runtime_error("shard blew up");
+            return request + "!";
+        });
+    ex::ShardRunner runner(transport, {4, 3, 0.0});
+    std::vector<size_t> encodes(4, 0);
+    std::vector<std::string> responses(4);
+    ex::ShardTask task;
+    task.name = "test/throw_on_2";
+    task.encode = [&](size_t s) {
+        ++encodes[s];
+        return std::to_string(s);
+    };
+    task.decode = [&](size_t s, const std::string &response) {
+        responses[s] = response;
+    };
+    auto report = runner.runStep(0, task);
     std::vector<size_t> expected = {0, 1, 3};
-    EXPECT_EQ(live, expected);
+    EXPECT_EQ(report.survivors(), expected);
     EXPECT_EQ(report.shards[2].state, ex::ShardState::Degraded);
     EXPECT_EQ(report.shards[2].attempts, 3u);
+    EXPECT_EQ(encodes, (std::vector<size_t>{1, 1, 3, 1}));
+    EXPECT_EQ(responses,
+              (std::vector<std::string>{"0!", "1!", "", "3!"}));
 }
 
 TEST(ShardRunner, FaultPatternIndependentOfThreadCount)
 {
-    auto degraded_pattern = [](size_t threads) {
+    auto degraded_pattern = [](size_t lanes) {
         ex::FaultConfig cfg;
         cfg.failProb = 0.3;
         cfg.preemptProb = 0.2;
         cfg.seed = 99;
         ex::FaultInjector inj(cfg);
-        ex::ThreadPool pool(threads);
-        ex::ShardRunner runner(pool, {8, 2, 0.0}, &inj);
-        std::vector<bool> pattern;
+        ex::InProcessTransport transport(lanes);
+        ex::ShardRunner runner(transport, {8, 2, 0.0}, &inj);
+        std::vector<ex::ShardState> pattern;
         for (size_t step = 0; step < 30; ++step) {
-            auto report = runner.runStep(step, [](size_t) {});
+            std::atomic<size_t> encoded{0};
+            std::vector<size_t> decoded;
+            auto report = runner.runStep(step, localTask(encoded, decoded));
             for (const auto &r : report.shards)
-                pattern.push_back(r.state == ex::ShardState::Degraded);
+                pattern.push_back(r.state);
         }
         return pattern;
     };
-    EXPECT_EQ(degraded_pattern(1), degraded_pattern(4));
+    auto serial = degraded_pattern(1);
+    EXPECT_NE(std::count(serial.begin(), serial.end(),
+                         ex::ShardState::Degraded),
+              0);
+    EXPECT_EQ(serial, degraded_pattern(4));
+    EXPECT_EQ(serial, degraded_pattern(8));
 }
 
 // ---------------------------------------------------------- Checkpoint

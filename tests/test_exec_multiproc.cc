@@ -3,7 +3,7 @@
  * Tests for the multi-process shard transport: wire-codec and
  * socket-frame round trips (property-tested over payload sizes from 0
  * bytes to multiple megabytes), ProcPool task dispatch / error
- * propagation / kill -9 death detection and respawn, ProcRunner retry
+ * propagation / kill -9 death detection and respawn, ShardRunner retry
  * and degradation semantics across process death, and the end-to-end
  * contracts on top: procs x threads bitwise A/B matrices for all three
  * steppers, fault-injection equivalence, a worker killed mid-run with
@@ -23,7 +23,7 @@
 #include "common/rng.h"
 #include "exec/checkpoint.h"
 #include "exec/fault_injector.h"
-#include "exec/proc_runner.h"
+#include "exec/shard_runner.h"
 #include "exec/proc_transport.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/traffic_generator.h"
@@ -217,7 +217,7 @@ TEST(ProcPool, KilledWorkerIsDetectedAndRespawned)
     EXPECT_EQ(pool.stats().workers[1].respawns, 1u);
 }
 
-// ------------------------------------------------------------ ProcRunner
+// ----------------------------------------------------------- ShardRunner
 
 namespace {
 
@@ -231,7 +231,7 @@ shardValue(uint64_t step, uint64_t shard, uint64_t payload)
 
 } // namespace
 
-TEST(ProcRunner, KillMidStepRetriesWithSameBytesAndMatchesUnkilledRun)
+TEST(ShardRunner, KillMidStepRetriesWithSameBytesAndMatchesUnkilledRun)
 {
     ex::ProcTaskRegistration task(
         "test/shard_value",
@@ -247,13 +247,13 @@ TEST(ProcRunner, KillMidStepRetriesWithSameBytesAndMatchesUnkilledRun)
     // determinism contract protects (a transport retry must NOT re-draw).
     auto runOnce = [&](size_t procs, bool kill) {
         ex::ProcPool pool(procs);
-        ex::ProcRunner runner(pool, ex::ShardRunnerConfig{4, 3, 0.0});
+        ex::ShardRunner runner(pool, ex::ShardRunnerConfig{4, 3, 0.0});
         Rng parent(17);
         std::vector<Rng> rngs = ex::ThreadPool::splitRngs(parent, 4);
         std::vector<double> out(4, 0.0);
         std::vector<uint64_t> draws(4, 0); // per-shard slot: lane-safe
 
-        ex::ProcShardTask t;
+        ex::ShardTask t;
         t.name = "test/shard_value";
         t.encode = [&](size_t s) {
             uint64_t draw = rngs[s].next64() % 100;
@@ -303,7 +303,7 @@ TEST(ProcRunner, KillMidStepRetriesWithSameBytesAndMatchesUnkilledRun)
     (void)oneReport;
 }
 
-TEST(ProcRunner, WorkerSuicideEveryAttemptDegradesShardStepCompletes)
+TEST(ShardRunner, WorkerSuicideEveryAttemptDegradesShardStepCompletes)
 {
     // The worker task itself dies (raise SIGKILL) on every call for
     // shard 0, so every one of its attempts is a transport failure:
@@ -318,11 +318,11 @@ TEST(ProcRunner, WorkerSuicideEveryAttemptDegradesShardStepCompletes)
             return "v";
         });
     ex::ProcPool pool(1);
-    ex::ProcRunner runner(pool, ex::ShardRunnerConfig{2, 2, 0.0});
+    ex::ShardRunner runner(pool, ex::ShardRunnerConfig{2, 2, 0.0});
 
     size_t encodes = 0;
     std::string decoded;
-    ex::ProcShardTask t;
+    ex::ShardTask t;
     t.name = "test/suicide";
     t.encode = [&](size_t) {
         ++encodes;
@@ -592,31 +592,6 @@ TEST(MultiprocSearch, TransportStatsEmptyOnThreadPath)
 }
 
 // ------------------------------------------------- fatal-path contracts
-
-TEST(MultiprocFatal, PerShardQualityBodyWithProcsIsFatal)
-{
-    testing::FLAGS_gtest_death_test_style = "threadsafe";
-    EXPECT_EXIT(
-        {
-            DlrmFixture f;
-            rw::ReluReward reward({{"flops", 2.0, -0.5}});
-            sr::H2oSearchConfig cfg;
-            cfg.numShards = 2;
-            cfg.numSteps = 1;
-            cfg.warmupSteps = 0;
-            cfg.procs = 2;
-            cfg.batchedQuality = false; // per-shard closures + procs
-            sr::H2oDlrmSearch search(
-                f.space, f.net, *f.pipe,
-                sr::DlrmPerfFn([&](const ss::Sample &s) {
-                    return purePerf(f.space, s);
-                }),
-                reward, cfg);
-            Rng rng(1);
-            (void)search.run(rng);
-        },
-        testing::ExitedWithCode(1), "require batchedQuality");
-}
 
 TEST(ProcsFlag, EnvironmentDefaultAndFatalOnMalformed)
 {

@@ -16,7 +16,7 @@
 
 #include "common/rng.h"
 #include "exec/shard_runner.h"
-#include "exec/thread_pool.h"
+#include "exec/shard_transport.h"
 #include "nn/activation.h"
 #include "nn/loss.h"
 #include "nn/mlp.h"
@@ -339,9 +339,10 @@ TEST(NnKernels, MlpTrainingBitwiseEqualAcrossImplementations)
         nn::AdamOptimizer opt(mlp.params(), 1e-2);
         nn::Tensor x = randomTensor(9, 13, rng, 0.2);
         nn::Tensor y = randomTensor(9, 2, rng);
+        nn::Tensor grad;
         for (int step = 0; step < 5; ++step) {
-            nn::LossResult loss = nn::mseLoss(mlp.forward(x), y);
-            mlp.backward(loss.grad);
+            nn::mseLoss(mlp.forward(x), y, grad);
+            mlp.backward(grad);
             opt.step();
         }
         nn::setKernelImpl(before);
@@ -358,9 +359,10 @@ TEST(NnKernels, MlpTrainingBitwiseEqualAcrossImplementations)
 }
 
 // The cross-thread contract: kernels are single-threaded and parallelism
-// lives in h2o::exec, whose OrderedSection serializes shared-state
-// updates in shard-index order. A sharded compute + ordered-aggregate
-// step must therefore produce bit-identical results at any pool width.
+// lives in h2o::exec, whose shard runner applies each shard's result
+// after the step barrier in shard-index order. A sharded compute +
+// ordered-aggregate step must therefore produce bit-identical results at
+// any lane count.
 TEST(NnKernels, TiledBitIdenticalAcross1_2_8ExecThreads)
 {
     constexpr size_t kShards = 8;
@@ -372,20 +374,24 @@ TEST(NnKernels, TiledBitIdenticalAcross1_2_8ExecThreads)
     }
 
     auto run_with_threads = [&](size_t threads) {
-        exec::ThreadPool pool(threads);
-        exec::ShardRunner runner(pool, {kShards, 1, 0.1});
+        exec::InProcessTransport lanes(threads);
+        exec::ShardRunner runner(lanes, {kShards, 1, 0.1});
         nn::Tensor accum(12, 72);
         accum.zero();
         std::vector<nn::Tensor> outs(kShards);
-        auto report = runner.runStep(0, [&](size_t shard) {
+        exec::ShardTask task;
+        task.encode = [&](size_t shard) {
             nn::Tensor &c = outs[shard];
             c = nn::Tensor(12, 72);
             nn::tiled::matmulMasked(as[shard], bs[shard], c, 40, 72);
-            // Shared-state aggregation in strict shard order.
-            exec::OrderedSection::Guard guard(runner.ordered(), shard);
-            nn::axpy(1.0f / kShards, c, accum);
-        });
-        EXPECT_EQ(report.numOk(), kShards);
+            return std::string();
+        };
+        // Shared-state aggregation after the barrier, in shard order.
+        task.decode = [&](size_t shard, const std::string &) {
+            nn::axpy(1.0f / kShards, outs[shard], accum);
+        };
+        auto report = runner.runStep(0, task);
+        EXPECT_EQ(report.survivors().size(), kShards);
         return accum;
     };
 

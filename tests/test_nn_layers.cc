@@ -12,7 +12,10 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <vector>
 
+#include "arch/dlrm_arch.h"
 #include "common/rng.h"
 #include "nn/activation.h"
 #include "nn/dense.h"
@@ -23,8 +26,17 @@
 #include "nn/mlp.h"
 #include "nn/normalizer.h"
 #include "nn/optimizer.h"
+#include "perfmodel/perf_model.h"
+#include "pipeline/pipeline.h"
+#include "searchspace/dlrm_space.h"
+#include "supernet/dlrm_supernet.h"
 
+namespace arch = h2o::arch;
 namespace nn = h2o::nn;
+namespace pl = h2o::pipeline;
+namespace pm = h2o::perfmodel;
+namespace sn = h2o::supernet;
+namespace ss = h2o::searchspace;
 using h2o::common::Rng;
 
 namespace {
@@ -260,6 +272,82 @@ TEST(LayerAllocs, SteadyStateStepsAllocateNoTensors)
     }
 }
 
+// A loss writes its gradient into the caller's tensor: after the first
+// step the buffer is reused and the loss allocates nothing.
+TEST(LayerAllocs, LossesReuseTheCallersGradTensor)
+{
+    nn::Tensor pred = randomInput(9, 2, 33);
+    nn::Tensor target = randomInput(9, 2, 34);
+    nn::Tensor labels(9, 2);
+    for (size_t i = 0; i < labels.size(); ++i)
+        labels[i] = static_cast<float>(i % 2);
+    nn::Tensor grad;
+    nn::mseLoss(pred, target, grad); // warm-up: the buffer grows here
+    nn::resetTensorAllocCount();
+    for (int step = 0; step < 3; ++step) {
+        nn::mseLoss(pred, target, grad);
+        nn::bceWithLogits(pred, labels, grad);
+        nn::huberLoss(pred, target, 0.5, grad);
+    }
+    EXPECT_EQ(nn::tensorAllocCount(), 0u);
+}
+
+// PerfModel::train: every SGD step after the first reuses the batch,
+// layer and loss-gradient buffers, so extra epochs allocate no tensors.
+TEST(LayerAllocs, PerfModelTrainStepsAllocateNoTensors)
+{
+    std::vector<std::vector<double>> features;
+    std::vector<std::array<double, 2>> targets;
+    Rng data(35);
+    for (size_t i = 0; i < 64; ++i) {
+        std::vector<double> row;
+        for (size_t j = 0; j < 6; ++j)
+            row.push_back(data.uniform(0.0, 1.0));
+        features.push_back(row);
+        targets.push_back({1.0 + row[0], 2.0 + row[1]});
+    }
+    auto allocs_for = [&](size_t epochs) {
+        pm::PerfModelConfig cfg;
+        cfg.hiddenWidth = 16;
+        cfg.epochs = epochs;
+        cfg.batchSize = 16; // four steps per epoch
+        Rng init(36), order(37);
+        pm::PerfModel model(6, cfg, init);
+        nn::resetTensorAllocCount();
+        model.train(features, targets, order);
+        return nn::tensorAllocCount();
+    };
+    EXPECT_EQ(allocs_for(4), allocs_for(1));
+}
+
+// DlrmSupernet::accumulateGradients on a warmed configuration reuses its
+// workspace, loss-gradient buffer included.
+TEST(LayerAllocs, SupernetAccumulateGradientsAllocatesNoTensors)
+{
+    arch::DlrmArch a;
+    a.numDenseFeatures = 4;
+    a.tables = {{512, 8, 1.0}, {256, 8, 1.0}};
+    a.bottomMlp = {{16, 0}};
+    a.topMlp = {{32, 0}};
+    a.globalBatch = 256;
+    ss::DlrmSearchSpace space(a);
+    Rng rng(38);
+    sn::DlrmSupernet net(space, sn::SupernetConfig{128, 64}, rng);
+    pl::InMemoryPipeline pipe(
+        std::make_unique<pl::TrafficGenerator>(
+            pl::trafficConfigFor(4, {512, 256}, {1.0, 1.0}), 39),
+        32);
+    net.configure(space.decisions().uniformSample(rng));
+    auto lease = pipe.lease();
+    net.accumulateGradients(lease.batch()); // warm-up
+    nn::resetTensorAllocCount();
+    for (int step = 0; step < 3; ++step)
+        net.accumulateGradients(lease.batch());
+    EXPECT_EQ(nn::tensorAllocCount(), 0u);
+    lease.markAlphaUse();
+    lease.markWeightUse();
+}
+
 // ---------------------------------------------------------- Activation
 
 // The tensor backward maps against the scalar formula g * act'(x),
@@ -381,13 +469,14 @@ TEST(Loss, BceMatchesManual)
     nn::Tensor labels(2, 1);
     labels.at(0, 0) = 1.0f;
     labels.at(1, 0) = 0.0f;
-    auto res = nn::bceWithLogits(logits, labels);
+    nn::Tensor grad;
+    double value = nn::bceWithLogits(logits, labels, grad);
     double expected =
         0.5 * (-std::log(0.5) - std::log(1.0 - nn::sigmoid(2.0)));
-    EXPECT_NEAR(res.value, expected, 1e-9);
+    EXPECT_NEAR(value, expected, 1e-9);
     // grad = (sigmoid(z) - y) / n
-    EXPECT_NEAR(res.grad.at(0, 0), (0.5 - 1.0) / 2.0, 1e-6);
-    EXPECT_NEAR(res.grad.at(1, 0), nn::sigmoid(2.0) / 2.0, 1e-6);
+    EXPECT_NEAR(grad.at(0, 0), (0.5 - 1.0) / 2.0, 1e-6);
+    EXPECT_NEAR(grad.at(1, 0), nn::sigmoid(2.0) / 2.0, 1e-6);
 }
 
 TEST(Loss, BceGradFiniteDifference)
@@ -398,17 +487,18 @@ TEST(Loss, BceGradFiniteDifference)
     logits.at(2, 0) = 0.1f;
     labels.at(0, 0) = 1.0f;
     labels.at(2, 0) = 1.0f;
-    auto res = nn::bceWithLogits(logits, labels);
+    nn::Tensor grad, scratch;
+    nn::bceWithLogits(logits, labels, grad);
     const float eps = 1e-3f;
     for (size_t i = 0; i < 3; ++i) {
         nn::Tensor p = logits;
         p[i] += eps;
         nn::Tensor m = logits;
         m[i] -= eps;
-        double numeric = (nn::bceWithLogits(p, labels).value -
-                          nn::bceWithLogits(m, labels).value) /
+        double numeric = (nn::bceWithLogits(p, labels, scratch) -
+                          nn::bceWithLogits(m, labels, scratch)) /
                          (2.0 * eps);
-        EXPECT_NEAR(res.grad[i], numeric, 1e-4);
+        EXPECT_NEAR(grad[i], numeric, 1e-4);
     }
 }
 
@@ -417,9 +507,9 @@ TEST(Loss, MseValueAndGrad)
     nn::Tensor pred(1, 2), target(1, 2);
     pred.at(0, 0) = 3.0f;
     target.at(0, 0) = 1.0f;
-    auto res = nn::mseLoss(pred, target);
-    EXPECT_DOUBLE_EQ(res.value, 2.0); // (4 + 0) / 2
-    EXPECT_FLOAT_EQ(res.grad.at(0, 0), 2.0f); // 2*2/2
+    nn::Tensor grad;
+    EXPECT_DOUBLE_EQ(nn::mseLoss(pred, target, grad), 2.0); // (4 + 0) / 2
+    EXPECT_FLOAT_EQ(grad.at(0, 0), 2.0f); // 2*2/2
 }
 
 TEST(Loss, HuberBlendsRegimes)
@@ -427,8 +517,11 @@ TEST(Loss, HuberBlendsRegimes)
     nn::Tensor pred(1, 2), target(1, 2);
     pred.at(0, 0) = 0.5f;  // inside delta=1: quadratic
     pred.at(0, 1) = 3.0f;  // outside: linear
-    auto res = nn::huberLoss(pred, target, 1.0);
-    EXPECT_NEAR(res.value, (0.5 * 0.25 + (3.0 - 0.5)) / 2.0, 1e-6);
+    nn::Tensor grad;
+    EXPECT_NEAR(nn::huberLoss(pred, target, 1.0, grad),
+                (0.5 * 0.25 + (3.0 - 0.5)) / 2.0, 1e-6);
+    EXPECT_FLOAT_EQ(grad.at(0, 0), 0.25f); // d / n, quadratic side
+    EXPECT_FLOAT_EQ(grad.at(0, 1), 0.5f);  // delta / n, linear side
 }
 
 TEST(Loss, AucPerfectAndRandomAndDegenerate)
@@ -524,12 +617,12 @@ TEST(Mlp, LearnsXor)
         y.at(i, 0) = data[i][2];
     }
     double last = 1e9;
+    nn::Tensor grad;
     for (int epoch = 0; epoch < 2000; ++epoch) {
         const nn::Tensor &pred = mlp.forward(x);
-        auto loss = nn::mseLoss(pred, y);
-        mlp.backward(loss.grad);
+        last = nn::mseLoss(pred, y, grad);
+        mlp.backward(grad);
         opt.step();
-        last = loss.value;
     }
     EXPECT_LT(last, 0.01);
 }

@@ -2,10 +2,10 @@
  * @file
  * Bit-identity tests for the batched quality stage: the supernet's
  * packed multi-candidate eval pass (DlrmSupernet::evaluateBatch) against
- * sequential configure()+evaluate() calls, and the search steppers'
- * batched-quality mode (one coordinator-side pass per step) against the
- * historical per-shard path — at --threads 1/2/8, with fault injection,
- * across batch-chunk sizes, and under both kernel implementations.
+ * sequential configure()+evaluate() calls across batch-chunk sizes and
+ * under both kernel implementations, and the search steppers' batched
+ * quality (one coordinator-side pass per step) at --threads 1/2/8, with
+ * fault injection.
  */
 
 #include <cstdint>
@@ -249,7 +249,7 @@ namespace {
 /** One full H2O search run; batched vs per-shard quality, any thread
  *  count, optional fault injection. */
 sr::SearchOutcome
-runH2o(bool batched, size_t threads, const exec::FaultConfig &fc,
+runH2o(size_t threads, const exec::FaultConfig &fc,
        std::vector<sr::H2oStepStats> *stats_out = nullptr,
        uint64_t *preemptions = nullptr)
 {
@@ -261,7 +261,6 @@ runH2o(bool batched, size_t threads, const exec::FaultConfig &fc,
     cfg.numSteps = 10;
     cfg.warmupSteps = 3;
     cfg.threads = threads;
-    cfg.batchedQuality = batched;
     cfg.faults = &faults;
     sr::H2oDlrmSearch search(
         f.space, f.net, *f.pipe,
@@ -278,32 +277,30 @@ runH2o(bool batched, size_t threads, const exec::FaultConfig &fc,
 
 } // namespace
 
-TEST(QualityBatchSearch, H2oBatchedMatchesPerShardAcrossThreads)
+TEST(QualityBatchSearch, H2oBitIdenticalAcrossThreads)
 {
     exec::FaultConfig no_faults;
     std::vector<sr::H2oStepStats> ref_stats;
-    auto ref = runH2o(false, 1, no_faults, &ref_stats);
+    auto ref = runH2o(1, no_faults, &ref_stats);
 
-    for (size_t threads : {1u, 2u, 8u}) {
-        for (bool batched : {true, false}) {
-            std::vector<sr::H2oStepStats> stats;
-            auto out = runH2o(batched, threads, no_faults, &stats);
-            expectSameOutcome(out, ref);
-            ASSERT_EQ(stats.size(), ref_stats.size());
-            for (size_t i = 0; i < stats.size(); ++i) {
-                EXPECT_EQ(stats[i].meanReward, ref_stats[i].meanReward);
-                EXPECT_EQ(stats[i].meanQuality, ref_stats[i].meanQuality);
-                EXPECT_EQ(stats[i].trainLoss, ref_stats[i].trainLoss);
-                EXPECT_EQ(stats[i].liveShards, ref_stats[i].liveShards);
-            }
+    for (size_t threads : {2u, 8u}) {
+        std::vector<sr::H2oStepStats> stats;
+        auto out = runH2o(threads, no_faults, &stats);
+        expectSameOutcome(out, ref);
+        ASSERT_EQ(stats.size(), ref_stats.size());
+        for (size_t i = 0; i < stats.size(); ++i) {
+            EXPECT_EQ(stats[i].meanReward, ref_stats[i].meanReward);
+            EXPECT_EQ(stats[i].meanQuality, ref_stats[i].meanQuality);
+            EXPECT_EQ(stats[i].trainLoss, ref_stats[i].trainLoss);
+            EXPECT_EQ(stats[i].liveShards, ref_stats[i].liveShards);
         }
     }
 }
 
 /** With preemptions striking, a degraded shard must neither draw its
- *  sample (RNG stream untouched) nor lease a batch — in BOTH modes, so
- *  the full histories stay bit-identical at any thread count. */
-TEST(QualityBatchSearch, H2oBatchedMatchesPerShardUnderFaults)
+ *  sample (RNG stream untouched) nor lease a batch, so the full
+ *  histories stay bit-identical at any thread count. */
+TEST(QualityBatchSearch, H2oBitIdenticalAcrossThreadsUnderFaults)
 {
     exec::FaultConfig fc;
     fc.preemptProb = 0.15;
@@ -311,39 +308,32 @@ TEST(QualityBatchSearch, H2oBatchedMatchesPerShardUnderFaults)
     fc.seed = 404;
 
     uint64_t ref_preempts = 0;
-    auto ref = runH2o(false, 1, fc, nullptr, &ref_preempts);
+    auto ref = runH2o(1, fc, nullptr, &ref_preempts);
     ASSERT_GT(ref_preempts, 0u) << "fault probe never struck";
 
-    for (size_t threads : {1u, 2u, 8u}) {
-        auto out = runH2o(true, threads, fc);
+    for (size_t threads : {2u, 8u}) {
+        auto out = runH2o(threads, fc);
         expectSameOutcome(out, ref);
     }
 }
 
-// ------------------------------------------- TuNAS A/B
+// ------------------------------------------- TuNAS
 
-TEST(QualityBatchSearch, TunasBatchedMatchesPerCandidate)
+TEST(QualityBatchSearch, TunasValidationStreamStaysAlphaOnly)
 {
-    sr::SearchOutcome outcomes[2];
-    uint64_t alpha_only[2];
-    for (int mode = 0; mode < 2; ++mode) {
-        DlrmFixture f;
-        rw::AbsoluteReward reward({{"step_time", 2.0, -0.5}});
-        sr::TunasSearchConfig cfg;
-        cfg.numIterations = 12;
-        cfg.warmupSteps = 4;
-        cfg.batchedQuality = mode == 0;
-        sr::TunasSearch search(
-            f.space, f.net, *f.pipe,
-            [&](const ss::Sample &s) { return cheapPerf(f.space, s); },
-            reward, cfg);
-        Rng rng(34);
-        outcomes[mode] = search.run(rng);
-        alpha_only[mode] = f.pipe->stats().alphaOnlyLeases;
-    }
-    expectSameOutcome(outcomes[0], outcomes[1]);
-    // The validation stream stays alpha-only in batched mode: the
-    // packed eval never trains weights.
-    EXPECT_EQ(alpha_only[0], 12u);
-    EXPECT_EQ(alpha_only[1], 12u);
+    DlrmFixture f;
+    rw::AbsoluteReward reward({{"step_time", 2.0, -0.5}});
+    sr::TunasSearchConfig cfg;
+    cfg.numIterations = 12;
+    cfg.warmupSteps = 4;
+    sr::TunasSearch search(
+        f.space, f.net, *f.pipe,
+        [&](const ss::Sample &s) { return cheapPerf(f.space, s); },
+        reward, cfg);
+    Rng rng(34);
+    auto outcome = search.run(rng);
+    EXPECT_EQ(outcome.history.size(), 12u);
+    // The packed pi-step eval never trains weights: one alpha-only
+    // lease per iteration.
+    EXPECT_EQ(f.pipe->stats().alphaOnlyLeases, 12u);
 }

@@ -35,7 +35,7 @@
 
 #include "common/flags.h"
 #include "common/rng.h"
-#include "exec/proc_runner.h"
+#include "exec/shard_runner.h"
 #include "exec/proc_transport.h"
 #include "exec/remote_transport.h"
 #include "exec/shard_transport.h"
@@ -624,7 +624,7 @@ spawnByteSplitProxy(uint16_t target_port, uint64_t seed)
 TEST(PartialDelivery, ByteAtATimeProxyYieldsByteIdenticalOutcomes)
 {
     SKIP_WITHOUT_LOOPBACK();
-    // The same ProcRunner step driven over (a) a direct fork-local
+    // The same ShardRunner step driven over (a) a direct fork-local
     // daemon and (b) a daemon behind the byte-splitting proxy: the
     // handshake and every task frame arrive fragmented, and the decoded
     // outcomes must still be byte-identical (frames are reassembled by
@@ -645,12 +645,12 @@ TEST(PartialDelivery, ByteAtATimeProxyYieldsByteIdenticalOutcomes)
         cfg.endpoints = ex::parseWorkerList(workers);
         cfg.requiredTasks = {"test/proxy_value"};
         ex::RemotePool pool(cfg);
-        ex::ProcRunner runner(pool, ex::ShardRunnerConfig{4, 3, 0.0});
+        ex::ShardRunner runner(pool, ex::ShardRunnerConfig{4, 3, 0.0});
         Rng parent(17);
         std::vector<Rng> rngs = ex::ThreadPool::splitRngs(parent, 4);
         std::vector<double> out(4, 0.0);
         std::vector<uint64_t> draws(4, 0);
-        ex::ProcShardTask t;
+        ex::ShardTask t;
         t.name = "test/proxy_value";
         t.encode = [&](size_t s) {
             draws[s] = rngs[s].next64() % 100;
@@ -1008,32 +1008,4 @@ TEST(RemoteSearch, CheckpointBytesIdenticalAcrossTransports)
     while (!c->done())
         c->step();
     expectIdenticalOutcomes(ref, c->finish());
-}
-
-TEST(RemoteFatal, PerShardQualityBodyWithRemoteWorkersIsFatal)
-{
-    testing::FLAGS_gtest_death_test_style = "threadsafe";
-    // Same gate as procs: a per-shard quality closure cannot cross the
-    // process boundary, whether the worker is a fork or a daemon. The
-    // gate fires before any socket is opened, so no loopback needed.
-    EXPECT_EXIT(
-        {
-            DlrmFixture f;
-            rw::ReluReward reward({{"flops", 2.0, -0.5}});
-            sr::H2oSearchConfig cfg;
-            cfg.numShards = 2;
-            cfg.numSteps = 1;
-            cfg.warmupSteps = 0;
-            cfg.workers = "local";
-            cfg.batchedQuality = false;
-            sr::H2oDlrmSearch search(
-                f.space, f.net, *f.pipe,
-                sr::DlrmPerfFn([&](const ss::Sample &s) {
-                    return purePerf(f.space, s);
-                }),
-                reward, cfg);
-            Rng rng(1);
-            (void)search.run(rng);
-        },
-        testing::ExitedWithCode(1), "require batchedQuality");
 }
