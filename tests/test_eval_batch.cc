@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <filesystem>
 #include <span>
 #include <vector>
 
@@ -358,6 +359,43 @@ expectSameReport(const ex::StepReport &a, const ex::StepReport &b)
 }
 
 } // namespace
+
+namespace {
+
+/** Threads of this process, from /proc/self/task. */
+size_t
+processThreads()
+{
+    size_t n = 0;
+    for ([[maybe_unused]] const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/task"))
+        ++n;
+    return n;
+}
+
+} // namespace
+
+// One lane runs on the caller's thread: building and stepping the
+// engine starts no thread at all.
+TEST(EvalEngine, OneLaneStartsNoThread)
+{
+    ToyTask task;
+    rw::ReluReward reward({{"cost", 2.0, -2.0}});
+    ev::EvalEngineConfig cfg;
+    cfg.numShards = 4;
+    cfg.threads = 1;
+    const size_t before = processThreads();
+    ev::EvalEngine engine(
+        ev::PerfFn([&task](const ss::Sample &s) { return task.perf(s); }),
+        reward, cfg,
+        [&task](const ss::Sample &s) { return task.quality(s); });
+    Rng rng(7);
+    auto step_eval = engine.evaluate(0, [&](size_t, ss::Sample &sample) {
+        sample = task.space.uniformSample(rng);
+    });
+    EXPECT_EQ(step_eval.survivors.size(), 4u);
+    EXPECT_EQ(processThreads(), before);
+}
 
 TEST(EvalEngine, BitIdenticalAt1_2_8LanesWithFaults)
 {
