@@ -89,7 +89,7 @@ main(int argc, char **argv)
         cfg.numSteps = budget / cfg.samplesPerStep;
         cfg.rl.learningRate = 0.08;
         cfg.rl.entropyWeight = 5e-3;
-        cfg.threads = static_cast<size_t>(flags.getInt("threads"));
+        cfg.exec.threads = flags.getSize("threads");
         search::SurrogateSearch s(space.decisions(), quality, perf, rwd,
                                   cfg);
         common::Rng rng(seed);

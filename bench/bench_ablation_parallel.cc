@@ -84,7 +84,7 @@ main(int argc, char **argv)
         cfg.numShards = shards;
         cfg.numSteps = budget / shards;
         cfg.warmupSteps = cfg.numSteps / 10;
-        cfg.threads = static_cast<size_t>(flags.getInt("threads"));
+        cfg.exec.threads = flags.getSize("threads");
         // Batched performance stage: one call per step over the step's
         // surviving shard candidates.
         search::H2oDlrmSearch search(

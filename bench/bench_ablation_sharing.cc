@@ -83,7 +83,7 @@ runSearch(const searchspace::DlrmSearchSpace &space, bool fine_only,
     cfg.numShards = 4;
     cfg.numSteps = steps;
     cfg.warmupSteps = steps / 5;
-    cfg.threads = threads;
+    cfg.exec.threads = threads;
     search::H2oDlrmSearch search(
         space, net, pipe,
         [&](const searchspace::Sample &s) {
@@ -116,7 +116,7 @@ main(int argc, char **argv)
     common::defineThreadsFlag(flags);
     flags.parse(argc, argv);
     size_t steps = static_cast<size_t>(flags.getInt("steps"));
-    size_t threads = static_cast<size_t>(flags.getInt("threads"));
+    size_t threads = flags.getSize("threads");
     uint64_t seed = static_cast<uint64_t>(flags.getInt("seed"));
 
     common::AsciiTable t("Weight-sharing ablation: hybrid (paper) vs "

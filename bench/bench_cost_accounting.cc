@@ -119,7 +119,7 @@ main(int argc, char **argv)
         cfg.numShards = 1; // per-accelerator cost, like vanilla above
         cfg.numSteps = steps;
         cfg.warmupSteps = 0;
-        cfg.threads = static_cast<size_t>(flags.getInt("threads"));
+        cfg.exec.threads = flags.getSize("threads");
         search::H2oDlrmSearch search(
             space, net, *pipe,
             [&](const searchspace::Sample &s) {

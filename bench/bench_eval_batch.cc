@@ -61,7 +61,7 @@ main(int argc, char **argv)
     size_t steps = static_cast<size_t>(flags.getInt("steps"));
     size_t shards = static_cast<size_t>(flags.getInt("shards"));
     uint64_t seed = static_cast<uint64_t>(flags.getInt("seed"));
-    size_t threads = static_cast<size_t>(flags.getInt("threads"));
+    size_t threads = flags.getSize("threads");
 
     searchspace::DlrmSearchSpace space(arch::baselineDlrm());
     hw::Platform train_platform = hw::trainingPlatform();
@@ -115,10 +115,9 @@ main(int argc, char **argv)
                         {times[i], space.decode(ss[i]).modelBytes()});
                 return out;
             };
-        eval::EvalEngineConfig ec;
-        ec.numShards = shards;
+        exec::ExecConfig ec;
         ec.threads = threads;
-        eval::EvalEngine engine(perf_batch, rwd, ec, quality);
+        eval::EvalEngine engine(perf_batch, rwd, shards, ec, quality);
         auto start = Clock::now();
         for (size_t step = 0; step < steps; ++step) {
             auto ev = engine.evaluate(

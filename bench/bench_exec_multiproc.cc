@@ -127,9 +127,9 @@ surrogateConfig(size_t steps, size_t shards, size_t procs, size_t threads)
     cfg.numSteps = steps;
     cfg.samplesPerStep = shards;
     cfg.rl.learningRate = 0.08;
-    cfg.threads = threads;
-    cfg.procs = procs;
-    cfg.retryBackoffMs = 0.0;
+    cfg.exec.threads = threads;
+    cfg.exec.procs = procs;
+    cfg.exec.retryBackoffMs = 0.0;
     return cfg;
 }
 
@@ -196,12 +196,12 @@ runSupernet(size_t steps, size_t shards, size_t procs, uint64_t seed,
     cfg.numShards = shards;
     cfg.numSteps = steps;
     cfg.warmupSteps = steps / 5;
-    cfg.threads = 1;
-    cfg.procs = procs;
-    cfg.retryBackoffMs = 0.0;
+    cfg.exec.threads = 1;
+    cfg.exec.procs = procs;
+    cfg.exec.retryBackoffMs = 0.0;
     search::H2oDlrmSearch search(
         f.space, f.net, *f.pipe,
-        search::DlrmPerfFn(
+        search::PerfFn(
             [&f](const searchspace::Sample &s) { return f.perf(s); }),
         rwd, cfg);
     common::Rng rng(seed + 2);
@@ -219,8 +219,8 @@ runTunas(size_t steps, size_t procs, uint64_t seed, double &seconds)
     search::TunasSearchConfig cfg;
     cfg.numIterations = steps;
     cfg.warmupSteps = steps / 5;
-    cfg.procs = procs;
-    cfg.retryBackoffMs = 0.0;
+    cfg.exec.procs = procs;
+    cfg.exec.retryBackoffMs = 0.0;
     search::TunasSearch search(
         f.space, f.net, *f.pipe,
         search::PerfFn(

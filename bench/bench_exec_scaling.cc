@@ -128,7 +128,7 @@ runDeviceLoopSearch(size_t threads, size_t shards, size_t steps,
     cfg.samplesPerStep = shards;
     cfg.rl.learningRate = 0.08;
     cfg.rl.entropyWeight = 5e-3;
-    cfg.threads = threads;
+    cfg.exec.threads = threads;
     search::SurrogateSearch search(space.decisions(), quality_fn, perf_fn,
                                    reward, cfg);
     common::Rng rng(seed);
@@ -193,8 +193,8 @@ runSupernetSearch(size_t threads, size_t shards, size_t steps,
     cfg.numShards = shards;
     cfg.numSteps = steps;
     cfg.warmupSteps = steps / 10;
-    cfg.threads = threads;
-    cfg.faults = faults;
+    cfg.exec.threads = threads;
+    cfg.exec.faults = faults;
     search::H2oDlrmSearch search(space, net, pipe, perf_fn, rwd, cfg);
 
     common::Rng srng(seed + 2);

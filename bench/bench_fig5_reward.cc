@@ -100,7 +100,7 @@ main(int argc, char **argv)
             cfg.samplesPerStep =
                 static_cast<size_t>(flags.getInt("shards"));
             cfg.rl.learningRate = 0.1;
-            cfg.threads = static_cast<size_t>(flags.getInt("threads"));
+            cfg.exec.threads = flags.getSize("threads");
             search::SurrogateSearch s(space.decisions(), quality_fn,
                                       perf_fn, *reward, cfg);
             common::Rng rng(

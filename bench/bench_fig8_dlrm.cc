@@ -95,7 +95,7 @@ main(int argc, char **argv)
     // on --threads workers with bit-identical results.
     bench::CachedDlrmTimer timer(
         platform, hw::servingPlatform(), 1 << 16,
-        static_cast<size_t>(flags.getInt("threads")));
+        flags.getSize("threads"));
     std::string cache_file = flags.getString("sim_cache_file");
     if (sim::warmSimCacheFromFile(timer.cache(), cache_file))
         std::cout << "SimCache warmed from " << cache_file << " ("
@@ -118,7 +118,7 @@ main(int argc, char **argv)
     cfg.samplesPerStep = static_cast<size_t>(flags.getInt("shards"));
     cfg.rl.learningRate = 0.08;
     cfg.rl.entropyWeight = 5e-3;
-    cfg.threads = static_cast<size_t>(flags.getInt("threads"));
+    cfg.exec.threads = flags.getSize("threads");
     search::SurrogateSearch search(space.decisions(), quality_fn, perf_fn,
                                    rwd, cfg);
     common::Rng rng(static_cast<uint64_t>(flags.getInt("seed")));

@@ -101,7 +101,7 @@ main(int argc, char **argv)
     const size_t steps = static_cast<size_t>(flags.getInt("steps"));
     const size_t shards = static_cast<size_t>(flags.getInt("shards"));
     const uint64_t seed = static_cast<uint64_t>(flags.getInt("seed"));
-    const size_t threads = static_cast<size_t>(flags.getInt("threads"));
+    const size_t threads = flags.getSize("threads");
     const std::string combine_name = flags.getString("combine");
     const reward::MultiTargetCombine combine =
         combine_name == "softmin" ? reward::MultiTargetCombine::SoftMin
@@ -133,7 +133,7 @@ main(int argc, char **argv)
         cfg.samplesPerStep = shards;
         cfg.rl.learningRate = 0.08;
         cfg.rl.entropyWeight = 5e-3;
-        cfg.threads = t == 0 ? 1 : t;
+        cfg.exec.threads = t == 0 ? 1 : t;
         if (multi) {
             cfg.multiTarget.targetNames = targets.names();
             cfg.multiTarget.perfOffset = 0;

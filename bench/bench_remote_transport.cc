@@ -164,10 +164,10 @@ surrogateConfig(size_t steps, size_t shards, size_t procs,
     cfg.numSteps = steps;
     cfg.samplesPerStep = shards;
     cfg.rl.learningRate = 0.08;
-    cfg.threads = 1;
-    cfg.procs = procs;
-    cfg.workers = workers;
-    cfg.retryBackoffMs = 0.0;
+    cfg.exec.threads = 1;
+    cfg.exec.procs = procs;
+    cfg.exec.workers = workers;
+    cfg.exec.retryBackoffMs = 0.0;
     return cfg;
 }
 
@@ -242,13 +242,13 @@ runSupernet(size_t steps, size_t shards, size_t procs,
     cfg.numShards = shards;
     cfg.numSteps = steps;
     cfg.warmupSteps = steps / 5;
-    cfg.threads = 1;
-    cfg.procs = procs;
-    cfg.workers = workers;
-    cfg.retryBackoffMs = 0.0;
+    cfg.exec.threads = 1;
+    cfg.exec.procs = procs;
+    cfg.exec.workers = workers;
+    cfg.exec.retryBackoffMs = 0.0;
     search::H2oDlrmSearch search(
         f.space, f.net, *f.pipe,
-        search::DlrmPerfFn(
+        search::PerfFn(
             [&f](const searchspace::Sample &s) { return f.perf(s); }),
         rwd, cfg);
     common::Rng rng(seed + 2);
@@ -267,9 +267,9 @@ runTunas(size_t steps, size_t procs, const std::string &workers,
     search::TunasSearchConfig cfg;
     cfg.numIterations = steps;
     cfg.warmupSteps = steps / 5;
-    cfg.procs = procs;
-    cfg.workers = workers;
-    cfg.retryBackoffMs = 0.0;
+    cfg.exec.procs = procs;
+    cfg.exec.workers = workers;
+    cfg.exec.retryBackoffMs = 0.0;
     search::TunasSearch search(
         f.space, f.net, *f.pipe,
         search::PerfFn(

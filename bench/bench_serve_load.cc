@@ -94,7 +94,7 @@ main(int argc, char **argv)
     const uint64_t seed = static_cast<uint64_t>(flags.getInt("seed"));
 
     serve::ServeConfig config;
-    config.threads = static_cast<size_t>(flags.getInt("threads"));
+    config.threads = flags.getSize("threads");
     config.maxConcurrentJobs =
         static_cast<size_t>(flags.getInt("concurrent"));
     config.stepsPerSlice = static_cast<size_t>(flags.getInt("slice"));

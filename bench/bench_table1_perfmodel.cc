@@ -67,7 +67,7 @@ main(int argc, char **argv)
     std::string cache_file = flags.getString("sim_cache_file");
     // --threads workers fill cache misses in parallel (the pretraining
     // cold path); results and NRMSE rows are bit-identical at any value.
-    size_t fill_threads = static_cast<size_t>(flags.getInt("threads"));
+    size_t fill_threads = flags.getSize("threads");
     bench::CachedDlrmTimer timer(train_platform, serve_platform, 1 << 16,
                                  fill_threads);
     if (use_cache && sim::warmSimCacheFromFile(timer.cache(), cache_file))

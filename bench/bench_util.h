@@ -55,25 +55,6 @@ chipsFromFlags(const common::Flags &flags)
     return hw::TargetSet::fromNames(flags.getString("chips"));
 }
 
-/** Resolve the parsed --procs flag (register it with
- *  common::defineProcsFlag; default from H2O_PROCS, fatal on malformed
- *  values). 0 = in-process threads, N = N worker processes. */
-inline size_t
-procsFromFlags(const common::Flags &flags)
-{
-    return static_cast<size_t>(flags.getInt("procs"));
-}
-
-/** Resolve the parsed --workers flag (register it with
- *  common::defineWorkersFlag; default from H2O_WORKERS, fatal on
- *  malformed values). Comma-separated remote worker daemon endpoints
- *  ("host:port" or "local"); empty = none. */
-inline std::string
-workersFromFlags(const common::Flags &flags)
-{
-    return flags.getString("workers");
-}
-
 /** Promoted to src/eval so the NAS job server shares the
  *  implementation; the bench-local name keeps working. */
 using eval::CachedDlrmTimer;

@@ -27,6 +27,7 @@
 #include "common/flags.h"
 #include "common/rng.h"
 #include "common/table.h"
+#include "exec/exec_config.h"
 #include "perfmodel/features.h"
 #include "perfmodel/hardware_oracle.h"
 #include "perfmodel/perf_model.h"
@@ -52,10 +53,9 @@ main(int argc, char **argv)
     flags.defineString("checkpoint", "",
                        "checkpoint file for the H2O search (resumes when "
                        "it already exists; empty disables)");
-    common::defineThreadsFlag(flags);
-    common::defineProcsFlag(flags);
-    common::defineWorkersFlag(flags);
+    exec::defineExecFlags(flags);
     flags.parse(argc, argv);
+    const exec::ExecConfig runtime = exec::execConfigFromFlags(flags);
     uint64_t seed = static_cast<uint64_t>(flags.getInt("seed"));
 
     // --- Baseline and search space.
@@ -143,9 +143,7 @@ main(int argc, char **argv)
     cfg.numShards = static_cast<size_t>(flags.getInt("shards"));
     cfg.numSteps = static_cast<size_t>(flags.getInt("steps"));
     cfg.warmupSteps = cfg.numSteps / 5;
-    cfg.threads = static_cast<size_t>(flags.getInt("threads"));
-    cfg.procs = static_cast<size_t>(flags.getInt("procs"));
-    cfg.workers = flags.getString("workers");
+    cfg.exec = runtime;
     cfg.checkpointPath = flags.getString("checkpoint");
     cfg.checkpointEvery = 10;
     search::H2oDlrmSearch h2o_search(space, supernet, *pipe, perf_fn,

@@ -19,6 +19,7 @@
 #include "common/flags.h"
 #include "common/rng.h"
 #include "common/table.h"
+#include "exec/exec_config.h"
 #include "nn/activation.h"
 #include "reward/reward.h"
 #include "search/surrogate_search.h"
@@ -33,10 +34,9 @@ main(int argc, char **argv)
     flags.defineInt("steps", 100, "search steps");
     flags.defineInt("shards", 8, "parallel candidates per step");
     flags.defineInt("seed", 29, "RNG seed");
-    common::defineThreadsFlag(flags);
-    common::defineProcsFlag(flags);
-    common::defineWorkersFlag(flags);
+    exec::defineExecFlags(flags);
     flags.parse(argc, argv);
+    const exec::ExecConfig runtime = exec::execConfigFromFlags(flags);
 
     hw::Platform train = hw::trainingPlatform();
     arch::NlpArch baseline = arch::referenceLm();
@@ -77,9 +77,7 @@ main(int argc, char **argv)
     cfg.samplesPerStep = static_cast<size_t>(flags.getInt("shards"));
     cfg.rl.learningRate = 0.08;
     cfg.rl.entropyWeight = 5e-3;
-    cfg.threads = static_cast<size_t>(flags.getInt("threads"));
-    cfg.procs = static_cast<size_t>(flags.getInt("procs"));
-    cfg.workers = flags.getString("workers");
+    cfg.exec = runtime;
     search::SurrogateSearch search(space.decisions(), quality_fn, perf_fn,
                                    reward, cfg);
     common::Rng rng(static_cast<uint64_t>(flags.getInt("seed")));

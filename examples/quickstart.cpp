@@ -16,6 +16,7 @@
 #include "arch/dlrm_arch.h"
 #include "common/flags.h"
 #include "common/rng.h"
+#include "exec/exec_config.h"
 #include "pipeline/pipeline.h"
 #include "reward/reward.h"
 #include "search/h2o_dlrm_search.h"
@@ -28,10 +29,9 @@ int
 main(int argc, char **argv)
 {
     common::Flags flags;
-    common::defineThreadsFlag(flags);
-    common::defineProcsFlag(flags);
-    common::defineWorkersFlag(flags);
+    exec::defineExecFlags(flags);
     flags.parse(argc, argv);
+    const exec::ExecConfig runtime = exec::execConfigFromFlags(flags);
 
     // 1. A baseline DLRM to search around: 3 embedding tables, a small
     //    bottom/top MLP. Every Table-5 dimension (widths, vocabs,
@@ -74,9 +74,7 @@ main(int argc, char **argv)
     config.numShards = 4;
     config.numSteps = 100;
     config.warmupSteps = 20;
-    config.threads = static_cast<size_t>(flags.getInt("threads"));
-    config.procs = static_cast<size_t>(flags.getInt("procs"));
-    config.workers = flags.getString("workers");
+    config.exec = runtime;
     search::H2oDlrmSearch search(
         space, supernet, pipe,
         [&](const searchspace::Sample &s) {

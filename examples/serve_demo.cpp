@@ -21,6 +21,7 @@
 #include <string>
 
 #include "common/flags.h"
+#include "exec/exec_config.h"
 #include "serve/scheduler.h"
 
 using namespace h2o;
@@ -29,22 +30,19 @@ int
 main(int argc, char **argv)
 {
     common::Flags flags;
-    common::defineThreadsFlag(flags);
-    common::defineProcsFlag(flags);
-    common::defineWorkersFlag(flags);
+    exec::defineExecFlags(flags);
     flags.defineInt("steps", 12, "search steps per job");
     flags.defineString("checkpoint_dir", "serve_demo_ckpt",
                        "directory for pause/resume checkpoints");
     flags.defineString("telemetry_csv", "",
                        "optional CSV file for the telemetry stream");
     flags.parse(argc, argv);
+    const exec::ExecConfig runtime = exec::execConfigFromFlags(flags);
 
     const auto steps = static_cast<size_t>(flags.getInt("steps"));
-    const auto procs = static_cast<size_t>(flags.getInt("procs"));
-    const auto workers = flags.getString("workers");
 
     serve::ServeConfig config;
-    config.threads = static_cast<size_t>(flags.getInt("threads"));
+    config.threads = runtime.threads;
     config.maxConcurrentJobs = 3;
     config.stepsPerSlice = 2;
     config.checkpointDir = flags.getString("checkpoint_dir");
@@ -62,8 +60,8 @@ main(int argc, char **argv)
         spec.seed = seed;
         spec.numSteps = steps;
         spec.stepTimeTargetRel = rel;
-        spec.procs = procs;
-        spec.workers = workers;
+        spec.procs = runtime.procs;
+        spec.workers = runtime.workers;
         return server.submit(spec);
     };
     uint64_t tight = surrogate("latency-0.85x", 11, 0.85);
@@ -75,16 +73,16 @@ main(int argc, char **argv)
     super.kind = serve::JobKind::DlrmSupernet;
     super.seed = 21;
     super.numSteps = steps;
-    super.procs = procs;
-    super.workers = workers;
+    super.procs = runtime.procs;
+    super.workers = runtime.workers;
     server.submit(super);
     serve::JobSpec tunas;
     tunas.name = "tunas";
     tunas.kind = serve::JobKind::DlrmTunas;
     tunas.seed = 22;
     tunas.numSteps = steps;
-    tunas.procs = procs;
-    tunas.workers = workers;
+    tunas.procs = runtime.procs;
+    tunas.workers = runtime.workers;
     server.submit(tunas);
     std::cout << "submitted " << server.queue().size()
               << " jobs (3 concurrency slots, slice quantum "

@@ -1,5 +1,6 @@
 #include "common/flags.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -77,8 +78,9 @@ Flags::parse(int argc, char **argv)
         // Validate numeric flags eagerly so typos fail at parse time.
         if (it->second.type == Type::Int) {
             char *end = nullptr;
+            errno = 0;
             (void)std::strtoll(value.c_str(), &end, 10);
-            if (end == value.c_str() || *end != '\0')
+            if (end == value.c_str() || *end != '\0' || errno == ERANGE)
                 h2o_fatal("flag --", name, " expects an integer, got '",
                           value, "'");
         } else if (it->second.type == Type::Double) {
@@ -112,6 +114,16 @@ Flags::getInt(const std::string &name) const
     return std::strtoll(lookup(name, Type::Int).value.c_str(), nullptr, 10);
 }
 
+size_t
+Flags::getSize(const std::string &name) const
+{
+    const int64_t v = getInt(name);
+    if (v < 0)
+        h2o_fatal("flag --", name, " expects a non-negative integer, got ",
+                  v);
+    return static_cast<size_t>(v);
+}
+
 double
 Flags::getDouble(const std::string &name) const
 {
@@ -130,19 +142,35 @@ Flags::getBool(const std::string &name) const
     return lookup(name, Type::Bool).value == "true";
 }
 
+std::optional<int64_t>
+parseEnvCount(const char *text)
+{
+    if (*text == '\0')
+        return std::nullopt;
+    int64_t v = 0;
+    for (const char *c = text; *c != '\0'; ++c) {
+        if (*c < '0' || *c > '9')
+            return std::nullopt;
+        const int digit = *c - '0';
+        if (v > (INT64_MAX - digit) / 10)
+            return std::nullopt;
+        v = v * 10 + digit;
+    }
+    return v;
+}
+
 int64_t
 threadsFlagDefault()
 {
     const char *env = std::getenv("H2O_THREADS");
     if (!env || *env == '\0')
         return 0;
-    char *end = nullptr;
-    long long v = std::strtoll(env, &end, 10);
-    if (end == env || *end != '\0' || v < 0) {
+    const std::optional<int64_t> v = parseEnvCount(env);
+    if (!v) {
         warn("ignoring malformed H2O_THREADS='", env, "'");
         return 0;
     }
-    return v;
+    return *v;
 }
 
 void
@@ -151,89 +179,6 @@ defineThreadsFlag(Flags &flags)
     flags.defineInt("threads", threadsFlagDefault(),
                     "worker threads for shard evaluation (0 = one per "
                     "hardware thread; default from H2O_THREADS)");
-}
-
-int64_t
-procsFlagDefault()
-{
-    const char *env = std::getenv("H2O_PROCS");
-    if (!env || *env == '\0')
-        return 0;
-    char *end = nullptr;
-    long long v = std::strtoll(env, &end, 10);
-    if (end == env || *end != '\0' || v < 0)
-        h2o_fatal("malformed H2O_PROCS='", env,
-                  "': expected a non-negative integer (0 = in-process, "
-                  "N = N worker processes)");
-    return v;
-}
-
-void
-defineProcsFlag(Flags &flags)
-{
-    flags.defineInt("procs", procsFlagDefault(),
-                    "worker processes for shard evaluation (0 = "
-                    "in-process threads; default from H2O_PROCS)");
-}
-
-namespace {
-
-/** Syntactic check of one worker-list entry: "local" or host:port with
- *  a nonempty host and a port in [1, 65535]. The authoritative parse
- *  (exec::parseWorkerList) applies the same rules; this copy keeps
- *  common/ free of an exec/ dependency. */
-bool
-validWorkerEntry(const std::string &entry)
-{
-    if (entry == "local")
-        return true;
-    size_t colon = entry.rfind(':');
-    if (colon == std::string::npos || colon == 0 || colon + 1 >= entry.size())
-        return false;
-    const std::string portStr = entry.substr(colon + 1);
-    for (char c : portStr) {
-        if (c < '0' || c > '9')
-            return false;
-    }
-    char *end = nullptr;
-    long long port = std::strtoll(portStr.c_str(), &end, 10);
-    return end != portStr.c_str() && *end == '\0' && port >= 1 &&
-           port <= 65535;
-}
-
-} // namespace
-
-std::string
-workersFlagDefault()
-{
-    const char *env = std::getenv("H2O_WORKERS");
-    if (!env || *env == '\0')
-        return "";
-    const std::string csv(env);
-    size_t start = 0;
-    while (start <= csv.size()) {
-        size_t comma = csv.find(',', start);
-        const std::string entry = csv.substr(
-            start, comma == std::string::npos ? std::string::npos
-                                              : comma - start);
-        if (!validWorkerEntry(entry))
-            h2o_fatal("malformed H2O_WORKERS='", env, "': entry '", entry,
-                      "' is not 'local' or host:port");
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return csv;
-}
-
-void
-defineWorkersFlag(Flags &flags)
-{
-    flags.defineString("workers", workersFlagDefault(),
-                       "comma-separated remote worker daemons for shard "
-                       "evaluation ('host:port', or 'local' to fork a "
-                       "loopback daemon); empty = none (default from "
-                       "H2O_WORKERS)");
 }
 
 } // namespace h2o::common

@@ -10,8 +10,10 @@
 #ifndef H2O_COMMON_FLAGS_H
 #define H2O_COMMON_FLAGS_H
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,6 +49,10 @@ class Flags
 
     /** Fetch a parsed (or default) integer flag. */
     int64_t getInt(const std::string &name) const;
+
+    /** Fetch an integer flag that counts something (threads, workers):
+     *  fatal when it is negative. */
+    size_t getSize(const std::string &name) const;
 
     /** Fetch a parsed (or default) double flag. */
     double getDouble(const std::string &name) const;
@@ -84,32 +90,9 @@ int64_t threadsFlagDefault();
 /** Register the standard --threads flag with the shared help text. */
 void defineThreadsFlag(Flags &flags);
 
-/**
- * Default value for a --procs flag: the H2O_PROCS environment variable
- * when set, otherwise 0 (in-process thread execution — no workers are
- * forked). Unlike H2O_THREADS, a malformed or negative H2O_PROCS is
- * FATAL rather than ignored: silently falling back to 0 would silently
- * drop the multi-process transport the user asked for.
- */
-int64_t procsFlagDefault();
-
-/** Register the standard --procs flag with the shared help text. */
-void defineProcsFlag(Flags &flags);
-
-/**
- * Default value for a --workers flag: the H2O_WORKERS environment
- * variable when set, otherwise "" (no remote workers). The value is a
- * comma-separated list of remote worker daemon endpoints — "host:port",
- * or "local" to fork a loopback daemon. Like H2O_PROCS (and unlike
- * H2O_THREADS), a malformed H2O_WORKERS is FATAL: silently dropping
- * endpoints would silently shrink the fleet the user asked for. Only
- * the list SYNTAX is validated here; reachability is checked when the
- * remote pool connects.
- */
-std::string workersFlagDefault();
-
-/** Register the standard --workers flag with the shared help text. */
-void defineWorkersFlag(Flags &flags);
+/** Parse an environment count: decimal digits only, within int64_t.
+ *  nullopt for anything else (signs, spaces, overflow, empty). */
+std::optional<int64_t> parseEnvCount(const char *text);
 
 } // namespace h2o::common
 

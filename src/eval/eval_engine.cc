@@ -71,19 +71,20 @@ makeEvalTask(QualityFn quality, PerfFn perf)
 
 EvalEngine::EvalEngine(PerfStage perf,
                        const reward::RewardFunction &rewardf,
-                       EvalEngineConfig config, QualityFn quality)
-    : _perf(std::move(perf)), _reward(rewardf), _config(config),
+                       size_t numShards, const exec::ExecConfig &config,
+                       QualityFn quality)
+    : _perf(std::move(perf)), _reward(rewardf), _numShards(numShards),
       _quality(std::move(quality))
 {
     h2o_assert(_perf.perCandidate || _perf.batched,
                "null performance functor");
-    h2o_assert(_config.numShards > 0, "engine with zero shards");
+    h2o_assert(_numShards > 0, "engine with zero shards");
 
     exec::ProcTaskFn task = makeEvalTask(_quality, _perf.perCandidate);
-    if (_config.procs == 0 && _config.workers.empty()) {
+    if (config.procs == 0 && config.workers.empty()) {
         _taskName = "eval_engine";
         _transport = std::make_unique<exec::InProcessTransport>(
-            exec::ThreadPool::resolve(_config.threads, _config.numShards),
+            exec::ThreadPool::resolve(config.threads, _numShards),
             _taskName, std::move(task));
     } else {
         // Register the eval task, THEN build the transports — forked
@@ -104,13 +105,12 @@ EvalEngine::EvalEngine(PerfStage perf,
         // (shard s -> slot s % total) that outcomes are invariant to
         // anyway (pure tasks).
         std::vector<std::unique_ptr<exec::ShardTransport>> parts;
-        if (_config.procs > 0)
+        if (config.procs > 0)
             parts.push_back(std::make_unique<exec::ProcPool>(
-                exec::ProcPool::resolve(_config.procs,
-                                        _config.numShards)));
-        if (!_config.workers.empty()) {
+                exec::ProcPool::resolve(config.procs, _numShards)));
+        if (!config.workers.empty()) {
             exec::RemotePoolConfig remote;
-            remote.endpoints = exec::parseWorkerList(_config.workers);
+            remote.endpoints = exec::parseWorkerList(config.workers);
             remote.requiredTasks = {_taskName};
             parts.push_back(
                 std::make_unique<exec::RemotePool>(std::move(remote)));
@@ -123,9 +123,9 @@ EvalEngine::EvalEngine(PerfStage perf,
     }
     _runner = std::make_unique<exec::ShardRunner>(
         *_transport,
-        exec::ShardRunnerConfig{_config.numShards, _config.maxShardAttempts,
-                                _config.retryBackoffMs},
-        _config.faults);
+        exec::ShardRunnerConfig{.numShards = _numShards,
+                                .backoffBaseMs = config.retryBackoffMs},
+        config.faults);
 }
 
 void
@@ -157,7 +157,7 @@ StepEval
 EvalEngine::runShards(size_t step, const SampleBodyFn &body,
                       bool withQuality)
 {
-    const size_t n = _config.numShards;
+    const size_t n = _numShards;
     StepEval ev;
     ev.samples.resize(n);
     ev.qualities.assign(n, 0.0);

@@ -39,8 +39,10 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
+#include "exec/exec_config.h"
 #include "exec/proc_transport.h"
 #include "exec/shard_runner.h"
 #include "reward/reward.h"
@@ -73,57 +75,33 @@ PerfBatchFn batchify(PerfFn fn);
 
 /**
  * The performance stage in one of its two execution modes (see the file
- * comment). Implicitly constructible from either functor type, so search
- * ctor overloads forward their performance argument straight through.
+ * comment). Implicitly constructible from any callable with the PerfFn
+ * or the PerfBatchFn signature, so the searchers take one PerfStage
+ * argument and the mode is decided here.
  */
 struct PerfStage
 {
     /** Per-candidate mode: runs in the eval task on the shard's slot
      *  (device-in-the-loop / blocking functions). */
-    PerfStage(PerfFn fn) : perCandidate(std::move(fn)) {}
+    template <typename F>
+        requires std::is_invocable_r_v<std::vector<double>, F &,
+                                       const searchspace::Sample &>
+    PerfStage(F fn) : perCandidate(std::move(fn))
+    {
+    }
+
     /** Batched mode: one coordinator-side call per step over the
      *  surviving candidates (batch entry points). */
-    PerfStage(PerfBatchFn fn) : batched(std::move(fn)) {}
+    template <typename F>
+        requires std::is_invocable_r_v<std::vector<std::vector<double>>,
+                                       F &,
+                                       std::span<const searchspace::Sample>>
+    PerfStage(F fn) : batched(std::move(fn))
+    {
+    }
 
     PerfFn perCandidate;  ///< exactly one of the two is non-null
     PerfBatchFn batched;
-};
-
-/** Engine configuration (mirrors the exec runtime knobs). */
-struct EvalEngineConfig
-{
-    /** Virtual accelerator shards = candidates per step. */
-    size_t numShards = 1;
-    /** In-process lanes (worker threads) when procs and workers are
-     *  unset; 0 = one per hardware thread. Clamped to numShards; one
-     *  lane runs on the caller's thread. Any value yields bit-identical
-     *  results. */
-    size_t threads = 0;
-    /** Optional fault oracle (preemptible-fleet emulation); not owned. */
-    exec::FaultInjector *faults = nullptr;
-    /** Max attempts per shard per step before it is dropped. */
-    size_t maxShardAttempts = 3;
-    /** Exponential retry backoff base, in milliseconds. */
-    double retryBackoffMs = 0.5;
-    /**
-     * Worker PROCESSES for the per-candidate work (exec::ProcPool),
-     * forked at engine construction (clamped to numShards). 0 keeps the
-     * work on in-process lanes. Draws, fault decisions, batched stages
-     * and aggregation stay coordinator-side. Any value (including 1 vs
-     * in-process lanes) produces byte-identical results; `threads` is
-     * then unused.
-     */
-    size_t procs = 0;
-    /**
-     * Remote worker daemons for the per-candidate work, as a
-     * comma-separated endpoint list ("host:port" for an external daemon
-     * running the same binary, "local" to fork a loopback daemon) — see
-     * exec::parseWorkerList. Empty = none. Combines with `procs`: the
-     * pool is then MIXED, forked slots first, remote slots after, and
-     * shard s is pinned to slot s % (procs + workers). Worker tasks are
-     * pure, so every combination produces byte-identical results.
-     */
-    std::string workers;
 };
 
 /**
@@ -169,17 +147,20 @@ class EvalEngine
         std::span<const searchspace::Sample> samples)>;
 
     /**
-     * @param perf    Performance stage (pure). A PerfBatchFn runs once
-     *                per step on the caller's thread; a PerfFn runs per
-     *                candidate in the eval task on the shard's slot.
-     * @param rewardf Multi-objective reward; not owned, must outlive
-     *                the engine.
-     * @param config  Shard count and runtime knobs.
-     * @param quality Optional PURE per-candidate quality, run in the
-     *                eval task; required by evaluate(step, body).
+     * @param perf      Performance stage (pure). A PerfBatchFn runs once
+     *                  per step on the caller's thread; a PerfFn runs per
+     *                  candidate in the eval task on the shard's slot.
+     * @param rewardf   Multi-objective reward; not owned, must outlive
+     *                  the engine.
+     * @param numShards Virtual accelerator shards = candidates per step.
+     * @param config    Where the shards run (lanes, processes, daemons),
+     *                  fault oracle and retry backoff.
+     * @param quality   Optional PURE per-candidate quality, run in the
+     *                  eval task; required by evaluate(step, body).
      */
     EvalEngine(PerfStage perf, const reward::RewardFunction &rewardf,
-               EvalEngineConfig config, QualityFn quality = nullptr);
+               size_t numShards, const exec::ExecConfig &config,
+               QualityFn quality = nullptr);
 
     /**
      * Evaluate one step with the ctor's pure quality: `body` draws each
@@ -230,7 +211,7 @@ class EvalEngine
 
     PerfStage _perf;
     const reward::RewardFunction &_reward;
-    EvalEngineConfig _config;
+    size_t _numShards;
     QualityFn _quality;
     /** Registration of the eval task for forked and remote slots (null
      *  for in-process lanes). Order matters: the task must be

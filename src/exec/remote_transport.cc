@@ -138,15 +138,16 @@ RemoteEndpoint::str() const
 }
 
 std::vector<RemoteEndpoint>
-parseWorkerList(const std::string &csv)
+parseWorkerList(const std::string &csv, const char *origin)
 {
     std::vector<RemoteEndpoint> out;
     if (csv.empty())
         return out;
 
-    auto bad = [&csv](const std::string &entry, const char *why) {
-        h2o_fatal("malformed worker entry '", entry, "' in '", csv, "': ",
-                  why, " (expected comma-separated host:port or 'local')");
+    auto bad = [&](const std::string &entry, const char *why) {
+        h2o_fatal("malformed ", origin, " entry '", entry, "' in '", csv,
+                  "': ", why,
+                  " (expected comma-separated host:port or 'local')");
     };
 
     size_t start = 0;

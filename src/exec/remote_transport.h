@@ -52,10 +52,12 @@ struct RemoteEndpoint
 /**
  * Parse a --workers / H2O_WORKERS list: comma-separated "host:port" or
  * "local" entries. Malformed input is FATAL (like H2O_PROCS — a wrong
- * fleet spec must never silently degrade to fewer workers). An empty
- * string parses to an empty list.
+ * fleet spec must never silently degrade to fewer workers), naming
+ * `origin` ("malformed <origin> entry ..."). An empty string parses to
+ * an empty list.
  */
-std::vector<RemoteEndpoint> parseWorkerList(const std::string &csv);
+std::vector<RemoteEndpoint> parseWorkerList(const std::string &csv,
+                                            const char *origin = "worker");
 
 struct RemotePoolConfig
 {

@@ -5,7 +5,6 @@
 #include "common/stats.h"
 #include "eval/eval_engine.h"
 #include "exec/checkpoint.h"
-#include "exec/fault_injector.h"
 #include "exec/thread_pool.h"
 #include "search/stepwise.h"
 
@@ -23,20 +22,6 @@ namespace h2o::search {
 class H2oDlrmStepper final : public StepwiseSearch
 {
   public:
-    static eval::EvalEngineConfig
-    engineConfig(const H2oSearchConfig &c)
-    {
-        eval::EvalEngineConfig ec;
-        ec.numShards = c.numShards;
-        ec.threads = c.threads;
-        ec.faults = c.faults;
-        ec.maxShardAttempts = c.maxShardAttempts;
-        ec.retryBackoffMs = c.retryBackoffMs;
-        ec.procs = c.procs;
-        ec.workers = c.workers;
-        return ec;
-    }
-
     H2oDlrmStepper(H2oDlrmSearch &owner, common::Rng &rng)
         : _owner(owner),
           _controller(owner._space.decisions(), owner._config.rl),
@@ -47,8 +32,8 @@ class H2oDlrmStepper final : public StepwiseSearch
           // The candidate -> reward pipeline: draws on the engine's
           // lanes, then the step's supernet pass and one batched
           // performance + reward pass on this thread.
-          _engine(owner._perf, owner._reward,
-                  engineConfig(owner._config))
+          _engine(owner._perf, owner._reward, owner._config.numShards,
+                  owner._config.exec)
     {
         owner._stats.clear();
         _fronts.reset(owner._config.multiTarget);
@@ -315,30 +300,6 @@ class H2oDlrmStepper final : public StepwiseSearch
     size_t _next = 0;
     bool _warmed = false;
 };
-
-H2oDlrmSearch::H2oDlrmSearch(const searchspace::DlrmSearchSpace &space,
-                             supernet::DlrmSupernet &supernet,
-                             pipeline::InMemoryPipeline &pipe,
-                             DlrmPerfFn perf,
-                             const reward::RewardFunction &rewardf,
-                             H2oSearchConfig config)
-    : H2oDlrmSearch(space, supernet, pipe,
-                    eval::PerfStage(std::move(perf)), rewardf,
-                    std::move(config))
-{
-}
-
-H2oDlrmSearch::H2oDlrmSearch(const searchspace::DlrmSearchSpace &space,
-                             supernet::DlrmSupernet &supernet,
-                             pipeline::InMemoryPipeline &pipe,
-                             DlrmPerfBatchFn perf_batch,
-                             const reward::RewardFunction &rewardf,
-                             H2oSearchConfig config)
-    : H2oDlrmSearch(space, supernet, pipe,
-                    eval::PerfStage(std::move(perf_batch)), rewardf,
-                    std::move(config))
-{
-}
 
 H2oDlrmSearch::H2oDlrmSearch(const searchspace::DlrmSearchSpace &space,
                              supernet::DlrmSupernet &supernet,

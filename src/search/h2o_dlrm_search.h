@@ -43,7 +43,6 @@
 #ifndef H2O_SEARCH_H2O_DLRM_SEARCH_H
 #define H2O_SEARCH_H2O_DLRM_SEARCH_H
 
-#include <functional>
 #include <string>
 
 #include "common/rng.h"
@@ -54,15 +53,7 @@
 #include "searchspace/dlrm_space.h"
 #include "supernet/dlrm_supernet.h"
 
-namespace h2o::exec { class FaultInjector; }
-
 namespace h2o::search {
-
-/** Sample -> performance objective values (e.g. via the perf model). */
-using DlrmPerfFn = PerfFn;
-
-/** Batched performance stage (one call per step over the survivors). */
-using DlrmPerfBatchFn = PerfBatchFn;
 
 /** Configuration of the unified single-step search. */
 struct H2oSearchConfig
@@ -75,28 +66,11 @@ struct H2oSearchConfig
     size_t warmupSteps = 30;
     controller::ReinforceConfig rl{};
 
-    // --- Execution runtime (h2o::exec).
-    /** Worker threads for shard evaluation; 0 = one per hardware
-     *  thread. Clamped to numShards. Any value yields bit-identical
-     *  results at the same seed. */
-    size_t threads = 0;
-    /** Worker PROCESSES for the per-candidate performance stage
-     *  (multi-process transport, see eval::EvalEngineConfig::procs).
-     *  0 = in-process threads. The supernet pass needs the shared
-     *  weights, so it stays coordinator-side; workers only run a pure
-     *  PerfFn. Any value is byte-identical. */
-    size_t procs = 0;
-    /** Remote worker daemons for the per-candidate performance stage,
-     *  comma-separated ("host:port" or "local";
-     *  eval::EvalEngineConfig::workers). Combines with procs into one
-     *  mixed pool. Empty = none; any fleet shape is byte-identical. */
-    std::string workers;
-    /** Optional fault oracle (preemptible-fleet emulation); not owned. */
-    exec::FaultInjector *faults = nullptr;
-    /** Max attempts per shard per step before it is dropped. */
-    size_t maxShardAttempts = 3;
-    /** Exponential retry backoff base, in milliseconds. */
-    double retryBackoffMs = 0.5;
+    /** Where the shards run. The supernet pass needs the shared
+     *  weights, so it stays coordinator-side; forked or remote workers
+     *  only run a pure per-candidate PerfFn. Any setting yields
+     *  bit-identical results at the same seed. */
+    exec::ExecConfig exec{};
 
     // --- Checkpoint/resume.
     /** Checkpoint file; empty disables checkpointing. When the file
@@ -132,25 +106,17 @@ class H2oDlrmSearch
      * @param space    DLRM search space.
      * @param supernet Trainable weight-sharing super-network.
      * @param pipe     In-memory production-traffic pipeline.
-     * @param perf     Performance signal (pure, thread-safe). Runs
-     *                 per candidate on the shard's lane, so a blocking
-     *                 function (device-in-the-loop) overlaps across
-     *                 lanes.
+     * @param perf     Performance signal (pure, thread-safe): a PerfFn
+     *                 runs per candidate on the shard's slot, so a
+     *                 blocking function (device-in-the-loop) overlaps
+     *                 across lanes; a PerfBatchFn runs once per step
+     *                 over the survivors (perf-model / simulator batch
+     *                 entry points).
      * @param rewardf  Multi-objective reward.
      */
     H2oDlrmSearch(const searchspace::DlrmSearchSpace &space,
                   supernet::DlrmSupernet &supernet,
-                  pipeline::InMemoryPipeline &pipe, DlrmPerfFn perf,
-                  const reward::RewardFunction &rewardf,
-                  H2oSearchConfig config);
-
-    /** As above with a batched performance stage (perf-model /
-     *  simulator batch entry points, one coordinator-side call per
-     *  step over the survivors). */
-    H2oDlrmSearch(const searchspace::DlrmSearchSpace &space,
-                  supernet::DlrmSupernet &supernet,
-                  pipeline::InMemoryPipeline &pipe,
-                  DlrmPerfBatchFn perf_batch,
+                  pipeline::InMemoryPipeline &pipe, eval::PerfStage perf,
                   const reward::RewardFunction &rewardf,
                   H2oSearchConfig config);
 
@@ -172,12 +138,6 @@ class H2oDlrmSearch
 
   private:
     friend class H2oDlrmStepper;
-
-    H2oDlrmSearch(const searchspace::DlrmSearchSpace &space,
-                  supernet::DlrmSupernet &supernet,
-                  pipeline::InMemoryPipeline &pipe, eval::PerfStage perf,
-                  const reward::RewardFunction &rewardf,
-                  H2oSearchConfig config);
 
     const searchspace::DlrmSearchSpace &_space;
     supernet::DlrmSupernet &_supernet;

@@ -3,7 +3,6 @@
 #include "common/logging.h"
 #include "common/serialize.h"
 #include "eval/eval_engine.h"
-#include "exec/fault_injector.h"
 #include "exec/thread_pool.h"
 #include "search/stepwise.h"
 
@@ -18,27 +17,13 @@ namespace h2o::search {
 class SurrogateStepper final : public StepwiseSearch
 {
   public:
-    static eval::EvalEngineConfig
-    engineConfig(const SurrogateSearchConfig &c)
-    {
-        eval::EvalEngineConfig ec;
-        ec.numShards = c.samplesPerStep;
-        ec.threads = c.threads;
-        ec.faults = c.faults;
-        ec.maxShardAttempts = c.maxShardAttempts;
-        ec.retryBackoffMs = c.retryBackoffMs;
-        ec.procs = c.procs;
-        ec.workers = c.workers;
-        return ec;
-    }
-
     SurrogateStepper(SurrogateSearch &owner, common::Rng &rng)
         : _owner(owner),
           _controller(owner._space, owner._config.rl),
           _rngs(exec::ThreadPool::splitRngs(rng,
                                             owner._config.samplesPerStep)),
-          _engine(owner._perf, owner._reward,
-                  engineConfig(owner._config), owner._quality)
+          _engine(owner._perf, owner._reward, owner._config.samplesPerStep,
+                  owner._config.exec, owner._quality)
     {
         _outcome.history.reserve(owner._config.numSteps *
                                  owner._config.samplesPerStep);
@@ -166,25 +151,6 @@ class SurrogateStepper final : public StepwiseSearch
     TargetFrontTracker _fronts;
     size_t _next = 0;
 };
-
-SurrogateSearch::SurrogateSearch(const searchspace::DecisionSpace &space,
-                                 QualityFn quality, PerfFn perf,
-                                 const reward::RewardFunction &rewardf,
-                                 SurrogateSearchConfig config)
-    : SurrogateSearch(space, std::move(quality),
-                      eval::PerfStage(std::move(perf)), rewardf, config)
-{
-}
-
-SurrogateSearch::SurrogateSearch(const searchspace::DecisionSpace &space,
-                                 QualityFn quality, PerfBatchFn perf_batch,
-                                 const reward::RewardFunction &rewardf,
-                                 SurrogateSearchConfig config)
-    : SurrogateSearch(space, std::move(quality),
-                      eval::PerfStage(std::move(perf_batch)), rewardf,
-                      config)
-{
-}
 
 SurrogateSearch::SurrogateSearch(const searchspace::DecisionSpace &space,
                                  QualityFn quality, eval::PerfStage perf,

@@ -20,25 +20,23 @@
 #ifndef H2O_SEARCH_SURROGATE_SEARCH_H
 #define H2O_SEARCH_SURROGATE_SEARCH_H
 
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "common/rng.h"
 #include "controller/reinforce.h"
 #include "eval/eval_engine.h"
+#include "exec/exec_config.h"
 #include "reward/reward.h"
 #include "search/pareto.h"
 #include "searchspace/decision_space.h"
-
-namespace h2o::exec { class FaultInjector; }
 
 namespace h2o::search {
 
 class StepwiseSearch;
 
 /** Sample -> quality signal (higher is better). */
-using QualityFn = std::function<double(const searchspace::Sample &)>;
+using QualityFn = eval::QualityFn;
 
 /** Sample -> performance objective values (parallel to the reward's). */
 using PerfFn = eval::PerfFn;
@@ -99,27 +97,10 @@ struct SurrogateSearchConfig
     size_t numSteps = 200;
     size_t samplesPerStep = 16; ///< parallel shards per step
     controller::ReinforceConfig rl{};
-    /** In-process lanes (worker threads); 0 = one per hardware
-     *  thread. Clamped to samplesPerStep; one lane runs on the caller's
-     *  thread with no pool at all. Results are bit-identical at any
-     *  value. */
-    size_t threads = 0;
-    /** Worker PROCESSES for the shard stage (multi-process transport;
-     *  see eval::EvalEngineConfig::procs). 0 = in-process threads.
-     *  Quality and per-candidate performance must be pure — they run
-     *  inside forked workers. Any value is byte-identical. */
-    size_t procs = 0;
-    /** Remote worker daemons for the shard stage, comma-separated
-     *  ("host:port" or "local"; eval::EvalEngineConfig::workers).
-     *  Combines with procs into one mixed pool. Empty = none; any
-     *  fleet shape is byte-identical. */
-    std::string workers;
-    /** Optional fault oracle (preemptible-fleet emulation); not owned. */
-    exec::FaultInjector *faults = nullptr;
-    /** Max attempts per shard per step before it is dropped. */
-    size_t maxShardAttempts = 3;
-    /** Exponential retry backoff base, in milliseconds. */
-    double retryBackoffMs = 0.5;
+    /** Where the shards run; quality and a per-candidate PerfFn run in
+     *  the eval task on the shard's slot. Any setting is
+     *  byte-identical. */
+    exec::ExecConfig exec{};
     /** Joint multi-target annotation; disabled (empty) by default. */
     MultiTargetSpec multiTarget{};
 };
@@ -130,24 +111,18 @@ class SurrogateSearch
   public:
     /**
      * @param space   Decision space.
-     * @param quality Quality signal (pure; thread-safe when threads
-     *                != 1).
-     * @param perf    Performance signal (same requirements). Runs per
-     *                candidate on the shard's lane, so a blocking
-     *                function (device-in-the-loop) overlaps across
-     *                lanes.
+     * @param quality Quality signal (pure; thread-safe when the exec
+     *                config runs more than one lane).
+     * @param perf    Performance signal (same requirements): a PerfFn
+     *                runs per candidate on the shard's slot, so a
+     *                blocking function (device-in-the-loop) overlaps
+     *                across lanes; a PerfBatchFn runs once per step over
+     *                the survivors (perf-model / simulator batch entry
+     *                points).
      * @param rewardf Multi-objective reward combining the two.
      */
     SurrogateSearch(const searchspace::DecisionSpace &space,
-                    QualityFn quality, PerfFn perf,
-                    const reward::RewardFunction &rewardf,
-                    SurrogateSearchConfig config);
-
-    /** As above with a batched performance stage: one coordinator-side
-     *  call per step over the step's surviving candidates (perf-model /
-     *  simulator batch entry points) instead of one call per candidate. */
-    SurrogateSearch(const searchspace::DecisionSpace &space,
-                    QualityFn quality, PerfBatchFn perf_batch,
+                    QualityFn quality, eval::PerfStage perf,
                     const reward::RewardFunction &rewardf,
                     SurrogateSearchConfig config);
 
@@ -163,11 +138,6 @@ class SurrogateSearch
 
   private:
     friend class SurrogateStepper;
-
-    SurrogateSearch(const searchspace::DecisionSpace &space,
-                    QualityFn quality, eval::PerfStage perf,
-                    const reward::RewardFunction &rewardf,
-                    SurrogateSearchConfig config);
 
     const searchspace::DecisionSpace &_space;
     QualityFn _quality;

@@ -3,7 +3,6 @@
 #include "common/logging.h"
 #include "common/serialize.h"
 #include "eval/eval_engine.h"
-#include "exec/fault_injector.h"
 #include "search/stepwise.h"
 
 namespace h2o::search {
@@ -18,20 +17,6 @@ namespace h2o::search {
 class TunasStepper final : public StepwiseSearch
 {
   public:
-    static eval::EvalEngineConfig
-    engineConfig(const TunasSearchConfig &c)
-    {
-        eval::EvalEngineConfig ec;
-        ec.numShards = 1;
-        ec.threads = 1;
-        ec.faults = c.faults;
-        ec.maxShardAttempts = c.maxShardAttempts;
-        ec.retryBackoffMs = c.retryBackoffMs;
-        ec.procs = c.procs;
-        ec.workers = c.workers;
-        return ec;
-    }
-
     TunasStepper(TunasSearch &owner, common::Rng &rng)
         : _owner(owner),
           _controller(owner._space.decisions(), owner._config.rl),
@@ -39,8 +24,7 @@ class TunasStepper final : public StepwiseSearch
           // TuNAS "was not built for hyperscale deployments, and
           // therefore lacks parallelism": a single shard on a single
           // lane, which runs on the calling thread.
-          _engine(owner._perf, owner._reward,
-                  engineConfig(owner._config))
+          _engine(owner._perf, owner._reward, 1, owner._config.exec)
     {
         _fronts.reset(owner._config.multiTarget);
     }
@@ -203,27 +187,6 @@ class TunasStepper final : public StepwiseSearch
     size_t _next = 0;
     bool _warmed = false;
 };
-
-TunasSearch::TunasSearch(const searchspace::DlrmSearchSpace &space,
-                         supernet::DlrmSupernet &supernet,
-                         pipeline::InMemoryPipeline &pipe, PerfFn perf,
-                         const reward::RewardFunction &rewardf,
-                         TunasSearchConfig config)
-    : TunasSearch(space, supernet, pipe,
-                  eval::PerfStage(std::move(perf)), rewardf, config)
-{
-}
-
-TunasSearch::TunasSearch(const searchspace::DlrmSearchSpace &space,
-                         supernet::DlrmSupernet &supernet,
-                         pipeline::InMemoryPipeline &pipe,
-                         PerfBatchFn perf_batch,
-                         const reward::RewardFunction &rewardf,
-                         TunasSearchConfig config)
-    : TunasSearch(space, supernet, pipe,
-                  eval::PerfStage(std::move(perf_batch)), rewardf, config)
-{
-}
 
 TunasSearch::TunasSearch(const searchspace::DlrmSearchSpace &space,
                          supernet::DlrmSupernet &supernet,

@@ -29,8 +29,6 @@
 #include "searchspace/dlrm_space.h"
 #include "supernet/dlrm_supernet.h"
 
-namespace h2o::exec { class FaultInjector; }
-
 namespace h2o::search {
 
 /** Configuration of the alternating baseline. */
@@ -40,23 +38,12 @@ struct TunasSearchConfig
     double weightLr = 0.05;
     size_t warmupSteps = 30;
     controller::ReinforceConfig rl{};
-    /** Worker PROCESSES for the pi-step's per-candidate performance
-     *  stage (multi-process transport; clamped to the single TuNAS
-     *  shard, so at most one worker forks). The supernet lives
-     *  coordinator-side. 0 = in-process. Byte-identical either way. */
-    size_t procs = 0;
-    /** Remote worker daemons for the pi-step's per-candidate
-     *  performance stage, comma-separated ("host:port" or "local";
-     *  eval::EvalEngineConfig::workers). Empty = none; byte-identical
-     *  either way. */
-    std::string workers;
-    /** Optional fault oracle; TuNAS has a single (non-sharded) worker,
-     *  so a preempted step is simply lost. Not owned. */
-    exec::FaultInjector *faults = nullptr;
-    /** Max attempts per step before it is dropped. */
-    size_t maxShardAttempts = 3;
-    /** Exponential retry backoff base, in milliseconds. */
-    double retryBackoffMs = 0.5;
+    /** Where the pi-step's per-candidate performance stage runs. TuNAS
+     *  has a single (non-sharded) worker, so threads and procs clamp to
+     *  one lane and one worker, and a preempted step is simply lost.
+     *  The supernet lives coordinator-side. Byte-identical either
+     *  way. */
+    exec::ExecConfig exec{};
     /** Joint multi-target annotation; disabled (empty) by default. */
     MultiTargetSpec multiTarget{};
 };
@@ -65,16 +52,11 @@ struct TunasSearchConfig
 class TunasSearch
 {
   public:
+    /** @param perf A PerfFn (per candidate, on the shard's slot) or a
+     *              PerfBatchFn (one coordinator-side call per step). */
     TunasSearch(const searchspace::DlrmSearchSpace &space,
                 supernet::DlrmSupernet &supernet,
-                pipeline::InMemoryPipeline &pipe, PerfFn perf,
-                const reward::RewardFunction &rewardf,
-                TunasSearchConfig config);
-
-    /** As above with a batched performance stage. */
-    TunasSearch(const searchspace::DlrmSearchSpace &space,
-                supernet::DlrmSupernet &supernet,
-                pipeline::InMemoryPipeline &pipe, PerfBatchFn perf_batch,
+                pipeline::InMemoryPipeline &pipe, eval::PerfStage perf,
                 const reward::RewardFunction &rewardf,
                 TunasSearchConfig config);
 
@@ -88,12 +70,6 @@ class TunasSearch
 
   private:
     friend class TunasStepper;
-
-    TunasSearch(const searchspace::DlrmSearchSpace &space,
-                supernet::DlrmSupernet &supernet,
-                pipeline::InMemoryPipeline &pipe, eval::PerfStage perf,
-                const reward::RewardFunction &rewardf,
-                TunasSearchConfig config);
 
     const searchspace::DlrmSearchSpace &_space;
     supernet::DlrmSupernet &_supernet;

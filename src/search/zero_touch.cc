@@ -59,7 +59,7 @@ ZeroTouchOptimizer::optimize(const LaunchCriteria &criteria,
     scfg.samplesPerStep = config.samplesPerStep;
     scfg.rl.learningRate = config.learningRate;
     scfg.rl.entropyWeight = config.entropyWeight;
-    scfg.threads = 1; // evaluation dominates; one lane, no pool
+    scfg.exec.threads = 1; // evaluation dominates; one lane, no pool
     SurrogateSearch search(_space, _quality, perf_fn, rwd, scfg);
     auto outcome = search.run(rng);
 

@@ -144,6 +144,19 @@ class DlrmJobBase : public SearchJob
         return mt;
     }
 
+    /** The job's shard runtime. Steps run on the scheduler's worker:
+     *  concurrency comes from the server running MANY jobs, not from
+     *  one job fanning out (one lane runs on the caller's thread, so no
+     *  nested pools). */
+    static exec::ExecConfig execConfig(const JobSpec &spec)
+    {
+        exec::ExecConfig ec;
+        ec.threads = 1;
+        ec.procs = spec.procs;
+        ec.workers = spec.workers;
+        return ec;
+    }
+
     searchspace::DlrmSearchSpace _space;
     hw::TargetSet _targets;
     eval::CachedDlrmTimer _timer;
@@ -215,12 +228,7 @@ class DlrmSurrogateJob final : public DlrmJobBase
         cfg.samplesPerStep = spec.samplesPerStep;
         cfg.rl.learningRate = spec.learningRate;
         cfg.rl.entropyWeight = spec.entropyWeight;
-        // Steps run on the scheduler's worker: concurrency comes from
-        // the server running MANY jobs, not from one job fanning out
-        // (one lane runs on the caller's thread, so no nested pools).
-        cfg.threads = 1;
-        cfg.procs = spec.procs;
-        cfg.workers = spec.workers;
+        cfg.exec = execConfig(spec);
         cfg.multiTarget = multiTargetSpec();
         return cfg;
     }
@@ -286,9 +294,7 @@ class DlrmSupernetJob final : public DlrmSupernetJobBase
         cfg.warmupSteps = 4;
         cfg.rl.learningRate = spec.learningRate;
         cfg.rl.entropyWeight = spec.entropyWeight;
-        cfg.threads = 1; // see DlrmSurrogateJob::config
-        cfg.procs = spec.procs;
-        cfg.workers = spec.workers;
+        cfg.exec = execConfig(spec);
         cfg.multiTarget = multiTargetSpec();
         return cfg;
     }
@@ -319,8 +325,7 @@ class DlrmTunasJob final : public DlrmSupernetJobBase
         cfg.warmupSteps = 4;
         cfg.rl.learningRate = spec.learningRate;
         cfg.rl.entropyWeight = spec.entropyWeight;
-        cfg.procs = spec.procs;
-        cfg.workers = spec.workers;
+        cfg.exec = execConfig(spec);
         cfg.multiTarget = multiTargetSpec();
         return cfg;
     }

@@ -67,7 +67,7 @@ struct JobSpec
     double learningRate = 0.08;
     double entropyWeight = 5e-3;
     /** Worker PROCESSES for the job's shard stage (the multi-process
-     *  transport; see eval::EvalEngineConfig::procs). 0 — the default,
+     *  transport; see exec::ExecConfig::procs). 0 — the default,
      *  and the right choice for load tests — keeps the job in-process
      *  on the scheduler's worker. >= 1 forks that many workers for THIS
      *  job (clamped to samplesPerStep); results are byte-identical
@@ -76,7 +76,7 @@ struct JobSpec
      *  ship only per-candidate performance work. */
     size_t procs = 0;
     /** Remote worker daemons for the job's shard stage, comma-separated
-     *  ("host:port" or "local"; eval::EvalEngineConfig::workers).
+     *  ("host:port" or "local"; exec::ExecConfig::workers).
      *  Combines with procs into one mixed pool for THIS job. Empty —
      *  the default — keeps the job local; results are byte-identical
      *  for any fleet shape, so the server's determinism contract is

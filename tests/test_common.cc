@@ -305,9 +305,12 @@ TEST(Flags, MalformedIntIsFatal)
 {
     hc::Flags flags;
     flags.defineInt("n", 7, "n");
-    const char *argv[] = {"prog", "--n=abc"};
-    EXPECT_EXIT(flags.parse(2, const_cast<char **>(argv)),
-                testing::ExitedWithCode(1), "expects an integer");
+    for (const char *arg : {"--n=abc", "--n=99999999999999999999"}) {
+        const char *argv[] = {"prog", arg};
+        EXPECT_EXIT(flags.parse(2, const_cast<char **>(argv)),
+                    testing::ExitedWithCode(1), "expects an integer")
+            << arg;
+    }
 }
 
 // ------------------------------------------------------------ logging

@@ -210,7 +210,7 @@ runBatchedSearch(size_t threads)
     sr::SurrogateSearchConfig cfg;
     cfg.numSteps = 60;
     cfg.samplesPerStep = 8;
-    cfg.threads = threads;
+    cfg.exec.threads = threads;
     cfg.rl.learningRate = 0.15;
     ev::PerfBatchFn perf_batch =
         [task](std::span<const ss::Sample> samples) {
@@ -277,8 +277,7 @@ runAtLanes(size_t threads)
     ex::FaultInjector faults({0.15, 0.0, 0.0, 0.2, 77});
     const size_t shards = 6, steps = 30;
 
-    ev::EvalEngineConfig cfg;
-    cfg.numShards = shards;
+    ex::ExecConfig cfg;
     cfg.threads = threads;
     cfg.faults = &faults;
     cfg.retryBackoffMs = 0.0;
@@ -290,7 +289,7 @@ runAtLanes(size_t threads)
             return out;
         };
     ev::EvalEngine engine(
-        perf_batch, reward, cfg,
+        perf_batch, reward, shards, cfg,
         [&task](const ss::Sample &s) { return task.quality(s); });
 
     std::vector<Rng> shard_rngs;
@@ -381,13 +380,12 @@ TEST(EvalEngine, OneLaneStartsNoThread)
 {
     ToyTask task;
     rw::ReluReward reward({{"cost", 2.0, -2.0}});
-    ev::EvalEngineConfig cfg;
-    cfg.numShards = 4;
+    ex::ExecConfig cfg;
     cfg.threads = 1;
     const size_t before = processThreads();
     ev::EvalEngine engine(
         ev::PerfFn([&task](const ss::Sample &s) { return task.perf(s); }),
-        reward, cfg,
+        reward, 4, cfg,
         [&task](const ss::Sample &s) { return task.quality(s); });
     Rng rng(7);
     auto step_eval = engine.evaluate(0, [&](size_t, ss::Sample &sample) {
@@ -450,11 +448,10 @@ TEST(EvalEngine, FaultsDropCandidatesFromBatchGracefully)
                 out.push_back(task.perf(s));
             return out;
         };
-    ev::EvalEngineConfig cfg;
-    cfg.numShards = shards;
+    ex::ExecConfig cfg;
     cfg.faults = &faults;
     ev::EvalEngine engine(
-        perf_batch, reward, cfg,
+        perf_batch, reward, shards, cfg,
         [&task](const ss::Sample &s) { return task.quality(s); });
 
     std::vector<Rng> shard_rngs;
@@ -518,9 +515,10 @@ TEST(EvalEngine, TransientFailuresRetryToFullBatch)
 {
     ToyTask task;
     rw::ReluReward reward({{"cost", 2.0, -2.0}});
-    // Fail-only config: retries always recover within maxShardAttempts'
-    // default of 3 often enough that most steps stay complete; crucially
-    // no shard is ever silently skipped without a Degraded mark.
+    // Fail-only config: retries always recover within the runner's
+    // default of 3 attempts often enough that most steps stay complete;
+    // crucially no shard is ever silently skipped without a Degraded
+    // mark.
     ex::FaultInjector faults({0.3, 0.0, 0.0, 0.0, 7});
 
     const size_t shards = 4, steps = 20;
@@ -531,11 +529,10 @@ TEST(EvalEngine, TransientFailuresRetryToFullBatch)
                 out.push_back(task.perf(s));
             return out;
         };
-    ev::EvalEngineConfig cfg;
-    cfg.numShards = shards;
+    ex::ExecConfig cfg;
     cfg.faults = &faults;
     ev::EvalEngine engine(
-        perf_batch, reward, cfg,
+        perf_batch, reward, shards, cfg,
         [&task](const ss::Sample &s) { return task.quality(s); });
 
     std::vector<Rng> shard_rngs;

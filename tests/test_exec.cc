@@ -20,12 +20,17 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <optional>
+#include <regex>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/flags.h"
 #include "common/rng.h"
 #include "common/serialize.h"
 #include "exec/checkpoint.h"
+#include "exec/exec_config.h"
 #include "exec/fault_injector.h"
 #include "exec/shard_runner.h"
 #include "exec/shard_transport.h"
@@ -505,10 +510,10 @@ TEST(ExecSearch, BitIdenticalAtAnyThreadCount)
     cfg.numSteps = 12;
     cfg.warmupSteps = 3;
 
-    cfg.threads = 1;
+    cfg.exec.threads = 1;
     auto serial = runH2o(cfg);
     for (size_t threads : {2u, 3u, 8u}) {
-        cfg.threads = threads;
+        cfg.exec.threads = threads;
         auto parallel = runH2o(cfg);
         expectIdenticalOutcomes(serial, parallel);
     }
@@ -523,7 +528,7 @@ TEST(ExecSearch, CheckpointResumeReproducesUninterruptedRun)
     cfg.numShards = 4;
     cfg.numSteps = 10;
     cfg.warmupSteps = 3;
-    cfg.threads = 2;
+    cfg.exec.threads = 2;
 
     // Reference: one uninterrupted run.
     auto uninterrupted = runH2o(cfg);
@@ -561,8 +566,8 @@ TEST(ExecSearch, SurvivesHeavyShardLoss)
     cfg.numShards = 4;
     cfg.numSteps = 25;
     cfg.warmupSteps = 5;
-    cfg.threads = 4;
-    cfg.faults = &inj;
+    cfg.exec.threads = 4;
+    cfg.exec.faults = &inj;
     sr::H2oDlrmSearch search(
         f.space, f.net, *f.pipe,
         [&](const ss::Sample &s) { return cheapPerf(f.space, s); }, reward,
@@ -602,4 +607,200 @@ TEST(ThreadsFlag, EnvironmentDefaultAndOverride)
     setenv("H2O_THREADS", "not-a-number", 1);
     EXPECT_EQ(h2o::common::threadsFlagDefault(), 0);
     unsetenv("H2O_THREADS");
+}
+
+// --------------------------------------------- ExecConfig flags and env
+
+namespace {
+
+/** Parse `args` against the exec flags (argv[0] is supplied). */
+h2o::common::Flags
+parseExecFlags(std::vector<std::string> args)
+{
+    args.insert(args.begin(), "prog");
+    std::vector<char *> argv;
+    for (auto &a : args)
+        argv.push_back(a.data());
+    h2o::common::Flags flags;
+    ex::defineExecFlags(flags);
+    flags.parse(static_cast<int>(argv.size()), argv.data());
+    return flags;
+}
+
+/** The documented H2O_THREADS / H2O_PROCS grammar: decimal digits only,
+ *  within int64_t. */
+std::optional<int64_t>
+documentedCount(const std::string &text)
+{
+    if (text.empty() ||
+        text.find_first_not_of("0123456789") != std::string::npos)
+        return std::nullopt;
+    const std::string digits =
+        text.substr(std::min(text.find_first_not_of('0'), text.size()));
+    if (digits.size() > 19 ||
+        (digits.size() == 19 && digits > "9223372036854775807"))
+        return std::nullopt;
+    return digits.empty() ? 0 : std::stoll(digits);
+}
+
+/** The documented H2O_WORKERS grammar: comma-separated entries, each
+ *  "local" or host:port with a nonempty host and a port in [1, 65535]. */
+bool
+documentedWorkerList(const std::string &csv)
+{
+    static const std::regex entry("local|[^,]+:0*([0-9]{1,5})");
+    size_t start = 0;
+    while (true) {
+        const size_t comma = csv.find(',', start);
+        const std::string e = csv.substr(start, comma - start);
+        std::smatch m;
+        if (!std::regex_match(e, m, entry))
+            return false;
+        if (e != "local") {
+            const int port = std::stoi(m[1].str());
+            if (port < 1 || port > 65535)
+                return false;
+        }
+        if (comma == std::string::npos)
+            return true;
+        start = comma + 1;
+    }
+}
+
+/** `count` seeded strings of 1-7 characters drawn from `alphabet`. */
+std::vector<std::string>
+garbage(uint64_t seed, size_t count, const std::string &alphabet)
+{
+    Rng rng(seed);
+    std::vector<std::string> out;
+    for (size_t i = 0; i < count; ++i) {
+        std::string s(static_cast<size_t>(rng.uniformInt(1, 7)), ' ');
+        for (char &c : s)
+            c = alphabet[static_cast<size_t>(rng.uniformInt(
+                0, static_cast<int64_t>(alphabet.size()) - 1))];
+        out.push_back(s);
+    }
+    return out;
+}
+
+/** Every strict prefix of `valid`, the empty one included. */
+std::vector<std::string>
+strictPrefixes(const std::string &valid)
+{
+    std::vector<std::string> out;
+    for (size_t n = 0; n < valid.size(); ++n)
+        out.push_back(valid.substr(0, n));
+    return out;
+}
+
+} // namespace
+
+TEST(ExecFlags, FlagsBecomeOneExecConfig)
+{
+    unsetenv("H2O_THREADS");
+    unsetenv("H2O_PROCS");
+    unsetenv("H2O_WORKERS");
+    const ex::ExecConfig defaults = ex::execConfigFromFlags(parseExecFlags({}));
+    EXPECT_EQ(defaults.threads, 0u);
+    EXPECT_EQ(defaults.procs, 0u);
+    EXPECT_EQ(defaults.workers, "");
+    EXPECT_EQ(defaults.faults, nullptr);
+    EXPECT_EQ(defaults.retryBackoffMs, ex::ExecConfig{}.retryBackoffMs);
+
+    const ex::ExecConfig set = ex::execConfigFromFlags(
+        parseExecFlags({"--threads=3", "--procs", "2", "--workers=local"}));
+    EXPECT_EQ(set.threads, 3u);
+    EXPECT_EQ(set.procs, 2u);
+    EXPECT_EQ(set.workers, "local");
+}
+
+TEST(ExecFlags, NegativeThreadsOrProcsIsFatal)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    unsetenv("H2O_THREADS");
+    unsetenv("H2O_PROCS");
+    unsetenv("H2O_WORKERS");
+    // Cast to size_t, a negative count would wrap to SIZE_MAX and clamp
+    // to the shard count: --procs=-1 would fork one worker per shard.
+    EXPECT_EXIT((void)ex::execConfigFromFlags(parseExecFlags({"--procs=-1"})),
+                testing::ExitedWithCode(1),
+                "flag --procs expects a non-negative integer, got -1");
+    EXPECT_EXIT(
+        (void)ex::execConfigFromFlags(parseExecFlags({"--threads=-2"})),
+        testing::ExitedWithCode(1),
+        "flag --threads expects a non-negative integer, got -2");
+    // The threads-only reader of the benches.
+    EXPECT_EXIT((void)parseExecFlags({"--threads=-3"}).getSize("threads"),
+                testing::ExitedWithCode(1),
+                "flag --threads expects a non-negative integer");
+    EXPECT_EQ(parseExecFlags({"--threads=0"}).getSize("threads"), 0u);
+}
+
+TEST(ExecFlags, EnvParsersFuzz)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    unsetenv("H2O_THREADS");
+    unsetenv("H2O_PROCS");
+    unsetenv("H2O_WORKERS");
+    auto fromEnv = [] { return ex::execConfigFromFlags(parseExecFlags({})); };
+    size_t deaths = 0;
+
+    // H2O_THREADS is a sizing hint: malformed warns and falls back to 0.
+    std::vector<std::string> threads = garbage(11, 40, "0123456789-+ x");
+    for (const auto &p : strictPrefixes("9223372036854775807"))
+        threads.push_back(p);
+    threads.push_back("9223372036854775808");
+    for (const auto &value : threads) {
+        setenv("H2O_THREADS", value.c_str(), 1);
+        const auto want = documentedCount(value);
+        testing::internal::CaptureStderr();
+        EXPECT_EQ(h2o::common::threadsFlagDefault(), want.value_or(0))
+            << "H2O_THREADS='" << value << "'";
+        const std::string err = testing::internal::GetCapturedStderr();
+        EXPECT_EQ(err.find("malformed H2O_THREADS") != std::string::npos,
+                  !want && !value.empty())
+            << "H2O_THREADS='" << value << "': " << err;
+    }
+    unsetenv("H2O_THREADS");
+
+    // H2O_PROCS is a fleet spec: parse exactly or die naming it.
+    std::vector<std::string> procs = garbage(12, 20, "0123456789-+ x");
+    for (const auto &p : strictPrefixes("9223372036854775807"))
+        procs.push_back(p);
+    procs.push_back("9223372036854775808");
+    for (const auto &value : procs) {
+        setenv("H2O_PROCS", value.c_str(), 1);
+        if (const auto want = documentedCount(value); want || value.empty()) {
+            EXPECT_EQ(fromEnv().procs, static_cast<size_t>(want.value_or(0)))
+                << "H2O_PROCS='" << value << "'";
+        } else {
+            ++deaths;
+            EXPECT_EXIT((void)fromEnv(),
+                        testing::ExitedWithCode(1), "malformed H2O_PROCS")
+                << "H2O_PROCS='" << value << "'";
+        }
+    }
+    unsetenv("H2O_PROCS");
+
+    // H2O_WORKERS too; the value is kept verbatim for parseWorkerList.
+    std::vector<std::string> workers = garbage(13, 20, "09:,.lochast");
+    for (const auto &p : strictPrefixes("local,10.0.0.2:65535"))
+        workers.push_back(p);
+    for (const auto &value : workers) {
+        setenv("H2O_WORKERS", value.c_str(), 1);
+        if (value.empty() || documentedWorkerList(value)) {
+            EXPECT_EQ(fromEnv().workers, value);
+        } else {
+            ++deaths;
+            EXPECT_EXIT((void)fromEnv(),
+                        testing::ExitedWithCode(1), "malformed H2O_WORKERS")
+                << "H2O_WORKERS='" << value << "'";
+        }
+    }
+    unsetenv("H2O_WORKERS");
+
+    // Enough malformed inputs to mean something, few enough to stay
+    // fast (each death case forks the test binary).
+    EXPECT_GE(deaths, 30u);
+    EXPECT_LE(deaths, 60u);
 }

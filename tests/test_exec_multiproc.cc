@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <csignal>
+#include <functional>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
@@ -22,6 +23,7 @@
 #include "common/flags.h"
 #include "common/rng.h"
 #include "exec/checkpoint.h"
+#include "exec/exec_config.h"
 #include "exec/fault_injector.h"
 #include "exec/shard_runner.h"
 #include "exec/proc_transport.h"
@@ -34,6 +36,8 @@
 #include "search/telemetry.h"
 #include "search/tunas_search.h"
 #include "searchspace/dlrm_space.h"
+#include "serve/job.h"
+#include "sim/sim_cache.h"
 #include "supernet/dlrm_supernet.h"
 
 namespace ex = h2o::exec;
@@ -410,10 +414,10 @@ runSurrogate(size_t procs, size_t threads, ex::FaultInjector *faults,
     sr::SurrogateSearchConfig cfg;
     cfg.numSteps = 8;
     cfg.samplesPerStep = 4;
-    cfg.threads = threads;
-    cfg.procs = procs;
-    cfg.faults = faults;
-    cfg.retryBackoffMs = 0.0;
+    cfg.exec.threads = threads;
+    cfg.exec.procs = procs;
+    cfg.exec.faults = faults;
+    cfg.exec.retryBackoffMs = 0.0;
     sr::SurrogateSearch search(
         space.decisions(),
         [&](const ss::Sample &s) { return pureQuality(space, s); },
@@ -432,11 +436,11 @@ runH2o(size_t procs, size_t threads)
     cfg.numShards = 4;
     cfg.numSteps = 6;
     cfg.warmupSteps = 2;
-    cfg.threads = threads;
-    cfg.procs = procs;
+    cfg.exec.threads = threads;
+    cfg.exec.procs = procs;
     sr::H2oDlrmSearch search(
         f.space, f.net, *f.pipe,
-        sr::DlrmPerfFn(
+        sr::PerfFn(
             [&](const ss::Sample &s) { return purePerf(f.space, s); }),
         reward, cfg);
     Rng rng(32);
@@ -451,7 +455,7 @@ runTunas(size_t procs)
     sr::TunasSearchConfig cfg;
     cfg.numIterations = 6;
     cfg.warmupSteps = 2;
-    cfg.procs = procs;
+    cfg.exec.procs = procs;
     sr::TunasSearch search(
         f.space, f.net, *f.pipe,
         sr::PerfFn(
@@ -528,9 +532,9 @@ TEST(MultiprocSearch, WorkerKilledMidRunRecoversByteIdentically)
     sr::SurrogateSearchConfig cfg;
     cfg.numSteps = 8;
     cfg.samplesPerStep = 4;
-    cfg.threads = 1;
-    cfg.procs = 2;
-    cfg.retryBackoffMs = 0.0;
+    cfg.exec.threads = 1;
+    cfg.exec.procs = 2;
+    cfg.exec.retryBackoffMs = 0.0;
     sr::SurrogateSearch search(
         space.decisions(),
         [&](const ss::Sample &s) { return pureQuality(space, s); },
@@ -574,7 +578,7 @@ TEST(MultiprocSearch, TransportStatsEmptyOnThreadPath)
     sr::SurrogateSearchConfig cfg;
     cfg.numSteps = 1;
     cfg.samplesPerStep = 2;
-    cfg.threads = 1;
+    cfg.exec.threads = 1;
     sr::SurrogateSearch search(
         space.decisions(),
         [&](const ss::Sample &s) { return pureQuality(space, s); },
@@ -591,29 +595,146 @@ TEST(MultiprocSearch, TransportStatsEmptyOnThreadPath)
               "bytes_received,endpoint\n");
 }
 
+// ------------------------------------------- ExecConfig reaches the engine
+
+namespace {
+
+/** Build one searcher from `exec`, step it `steps` times and return the
+ *  stepper's transport counters. Outcomes are identical at any exec
+ *  setting, so only these counters (and the fault oracle's) show that
+ *  the config reached the engine. */
+using StepWithExec =
+    std::function<ex::ProcPoolStats(const ex::ExecConfig &, size_t steps)>;
+
+ex::ProcPoolStats
+stepAll(sr::StepwiseSearch &stepper, size_t steps)
+{
+    for (size_t i = 0; i < steps && stepper.step(); ++i) {
+    }
+    return stepper.transportStats();
+}
+
+const std::vector<std::pair<const char *, StepWithExec>> &
+searchers()
+{
+    static const std::vector<std::pair<const char *, StepWithExec>> table{
+        {"surrogate",
+         [](const ex::ExecConfig &exec, size_t steps) {
+             ss::DlrmSearchSpace space(searchDlrm());
+             rw::ReluReward reward({{"flops", 2.0, -0.5}});
+             sr::SurrogateSearchConfig cfg;
+             cfg.numSteps = 6;
+             cfg.samplesPerStep = 4;
+             cfg.exec = exec;
+             sr::SurrogateSearch search(
+                 space.decisions(),
+                 [&](const ss::Sample &s) { return pureQuality(space, s); },
+                 [&](const ss::Sample &s) { return purePerf(space, s); },
+                 reward, cfg);
+             Rng rng(5);
+             return stepAll(*search.makeStepper(rng), steps);
+         }},
+        {"h2o_dlrm",
+         [](const ex::ExecConfig &exec, size_t steps) {
+             DlrmFixture f;
+             rw::ReluReward reward({{"flops", 2.0, -0.5}});
+             sr::H2oSearchConfig cfg;
+             cfg.numShards = 4;
+             cfg.numSteps = 6;
+             cfg.warmupSteps = 2;
+             cfg.exec = exec;
+             sr::H2oDlrmSearch search(
+                 f.space, f.net, *f.pipe,
+                 [&](const ss::Sample &s) { return purePerf(f.space, s); },
+                 reward, cfg);
+             Rng rng(32);
+             return stepAll(*search.makeStepper(rng), steps);
+         }},
+        {"tunas",
+         [](const ex::ExecConfig &exec, size_t steps) {
+             DlrmFixture f;
+             rw::ReluReward reward({{"flops", 2.0, -0.5}});
+             sr::TunasSearchConfig cfg;
+             cfg.numIterations = 6;
+             cfg.warmupSteps = 2;
+             cfg.exec = exec;
+             sr::TunasSearch search(
+                 f.space, f.net, *f.pipe,
+                 [&](const ss::Sample &s) { return purePerf(f.space, s); },
+                 reward, cfg);
+             Rng rng(33);
+             return stepAll(*search.makeStepper(rng), steps);
+         }},
+    };
+    return table;
+}
+
+} // namespace
+
+TEST(ExecConfigForwarding, EverySearcherAndJobKindForwardsProcsAndFaults)
+{
+    for (const auto &[name, run] : searchers()) {
+        SCOPED_TRACE(name);
+        ex::ExecConfig forked;
+        forked.procs = 1;
+        EXPECT_EQ(run(forked, 1).workers.size(), 1u);
+
+        ex::FaultConfig fc;
+        fc.failProb = 0.3;
+        fc.preemptProb = 0.2;
+        fc.seed = 9;
+        ex::FaultInjector faults(fc);
+        ex::ExecConfig faulty;
+        faulty.faults = &faults;
+        faulty.retryBackoffMs = 0.0;
+        run(faulty, 6);
+        EXPECT_GT(faults.stats().failures.load() +
+                      faults.stats().preemptions.load(),
+                  0u);
+    }
+
+    for (auto kind : {h2o::serve::JobKind::DlrmSurrogate,
+                      h2o::serve::JobKind::DlrmSupernet,
+                      h2o::serve::JobKind::DlrmTunas}) {
+        SCOPED_TRACE(static_cast<int>(kind));
+        h2o::serve::JobSpec spec;
+        spec.kind = kind;
+        spec.numSteps = 2;
+        spec.procs = 1;
+        h2o::sim::SimCache cache(1 << 10);
+        auto job = h2o::serve::makeDefaultJob(spec, cache);
+        EXPECT_EQ(stepAll(job->stepper(), 1).workers.size(), 1u);
+    }
+}
+
 // ------------------------------------------------- fatal-path contracts
 
 TEST(ProcsFlag, EnvironmentDefaultAndFatalOnMalformed)
 {
     testing::FLAGS_gtest_death_test_style = "threadsafe";
+    auto envProcs = [] {
+        h2o::common::Flags flags;
+        ex::defineExecFlags(flags);
+        return ex::execConfigFromFlags(flags).procs;
+    };
     unsetenv("H2O_PROCS");
-    EXPECT_EQ(h2o::common::procsFlagDefault(), 0);
+    EXPECT_EQ(envProcs(), 0u);
     setenv("H2O_PROCS", "3", 1);
-    EXPECT_EQ(h2o::common::procsFlagDefault(), 3);
+    EXPECT_EQ(envProcs(), 3u);
 
     // Unlike H2O_THREADS (warn + fall back), a malformed H2O_PROCS is
     // fatal: silently dropping the transport the user asked for would
     // mask misconfiguration.
     setenv("H2O_PROCS", "not-a-number", 1);
-    EXPECT_EXIT((void)h2o::common::procsFlagDefault(),
+    EXPECT_EXIT((void)envProcs(),
                 testing::ExitedWithCode(1), "malformed H2O_PROCS");
     setenv("H2O_PROCS", "-2", 1);
-    EXPECT_EXIT((void)h2o::common::procsFlagDefault(),
+    EXPECT_EXIT((void)envProcs(),
                 testing::ExitedWithCode(1), "malformed H2O_PROCS");
     unsetenv("H2O_PROCS");
 
     h2o::common::Flags flags;
-    h2o::common::defineProcsFlag(flags);
+    ex::defineExecFlags(flags);
     EXPECT_EQ(flags.getInt("procs"), 0);
 }
 

@@ -95,7 +95,7 @@ struct MiniSearch
         cfg.samplesPerStep = shards;
         cfg.rl.learningRate = 0.08;
         cfg.rl.entropyWeight = 5e-3;
-        cfg.threads = threads == 0 ? 1 : threads;
+        cfg.exec.threads = threads == 0 ? 1 : threads;
         cfg.multiTarget.targetNames = targets.names();
         search = std::make_unique<sr::SurrogateSearch>(
             space.decisions(),
@@ -387,7 +387,7 @@ TEST(MultiTargetSearch, OneTargetMatchesLegacySearchBitwise)
     cfg.samplesPerStep = 3;
     cfg.rl.learningRate = 0.08;
     cfg.rl.entropyWeight = 5e-3;
-    cfg.threads = 1;
+    cfg.exec.threads = 1;
     sr::SurrogateSearch legacy(space.decisions(), quality,
                                sr::PerfBatchFn(perf), rwd, cfg);
     h2o::common::Rng rng(11);
@@ -485,7 +485,7 @@ TEST(MultiTargetCheckpoint, MismatchedTargetsRefuseToLoad)
             sr::SurrogateSearchConfig cfg;
             cfg.numSteps = 4;
             cfg.samplesPerStep = 3;
-            cfg.threads = 1;
+            cfg.exec.threads = 1;
             sr::SurrogateSearch legacy(space.decisions(), quality,
                                        sr::PerfBatchFn(perf), rwd, cfg);
             h2o::common::Rng r(1);

@@ -260,8 +260,8 @@ runH2o(size_t threads, const exec::FaultConfig &fc,
     cfg.numShards = 4;
     cfg.numSteps = 10;
     cfg.warmupSteps = 3;
-    cfg.threads = threads;
-    cfg.faults = &faults;
+    cfg.exec.threads = threads;
+    cfg.exec.faults = &faults;
     sr::H2oDlrmSearch search(
         f.space, f.net, *f.pipe,
         [&](const ss::Sample &s) { return cheapPerf(f.space, s); }, reward,

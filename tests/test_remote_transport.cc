@@ -35,6 +35,7 @@
 
 #include "common/flags.h"
 #include "common/rng.h"
+#include "exec/exec_config.h"
 #include "exec/shard_runner.h"
 #include "exec/proc_transport.h"
 #include "exec/remote_transport.h"
@@ -695,13 +696,17 @@ TEST(PartialDelivery, ByteAtATimeProxyYieldsByteIdenticalOutcomes)
 TEST(WorkersFlag, EnvironmentDefaultAndFatalOnMalformed)
 {
     testing::FLAGS_gtest_death_test_style = "threadsafe";
+    auto envWorkers = [] {
+        h2o::common::Flags flags;
+        ex::defineExecFlags(flags);
+        return ex::execConfigFromFlags(flags).workers;
+    };
     unsetenv("H2O_WORKERS");
-    EXPECT_EQ(h2o::common::workersFlagDefault(), "");
+    EXPECT_EQ(envWorkers(), "");
     setenv("H2O_WORKERS", "local", 1);
-    EXPECT_EQ(h2o::common::workersFlagDefault(), "local");
+    EXPECT_EQ(envWorkers(), "local");
     setenv("H2O_WORKERS", "nas-worker-7:9123,local,10.0.0.2:65535", 1);
-    EXPECT_EQ(h2o::common::workersFlagDefault(),
-              "nas-worker-7:9123,local,10.0.0.2:65535");
+    EXPECT_EQ(envWorkers(), "nas-worker-7:9123,local,10.0.0.2:65535");
 
     // Like H2O_PROCS (and unlike H2O_THREADS), malformed is FATAL:
     // silently dropping endpoints would silently shrink the fleet.
@@ -709,14 +714,14 @@ TEST(WorkersFlag, EnvironmentDefaultAndFatalOnMalformed)
          {"hostonly", "host:", ":9123", "host:0", "host:70000",
           "host:91x3", "local,", "a:1,,b:2"}) {
         setenv("H2O_WORKERS", bad, 1);
-        EXPECT_EXIT((void)h2o::common::workersFlagDefault(),
+        EXPECT_EXIT((void)envWorkers(),
                     testing::ExitedWithCode(1), "malformed H2O_WORKERS")
             << "value: " << bad;
     }
     unsetenv("H2O_WORKERS");
 
     h2o::common::Flags flags;
-    h2o::common::defineWorkersFlag(flags);
+    ex::defineExecFlags(flags);
     EXPECT_EQ(flags.getString("workers"), "");
 }
 
@@ -824,10 +829,10 @@ surrogateConfig(size_t procs, const std::string &workers, size_t threads)
     sr::SurrogateSearchConfig cfg;
     cfg.numSteps = 8;
     cfg.samplesPerStep = 4;
-    cfg.threads = threads;
-    cfg.procs = procs;
-    cfg.workers = workers;
-    cfg.retryBackoffMs = 0.0;
+    cfg.exec.threads = threads;
+    cfg.exec.procs = procs;
+    cfg.exec.workers = workers;
+    cfg.exec.retryBackoffMs = 0.0;
     return cfg;
 }
 
@@ -854,12 +859,12 @@ runH2o(size_t procs, const std::string &workers)
     cfg.numShards = 4;
     cfg.numSteps = 6;
     cfg.warmupSteps = 2;
-    cfg.threads = 1;
-    cfg.procs = procs;
-    cfg.workers = workers;
+    cfg.exec.threads = 1;
+    cfg.exec.procs = procs;
+    cfg.exec.workers = workers;
     sr::H2oDlrmSearch search(
         f.space, f.net, *f.pipe,
-        sr::DlrmPerfFn(
+        sr::PerfFn(
             [&](const ss::Sample &s) { return purePerf(f.space, s); }),
         reward, cfg);
     Rng rng(32);
@@ -874,8 +879,8 @@ runTunas(size_t procs, const std::string &workers)
     sr::TunasSearchConfig cfg;
     cfg.numIterations = 6;
     cfg.warmupSteps = 2;
-    cfg.procs = procs;
-    cfg.workers = workers;
+    cfg.exec.procs = procs;
+    cfg.exec.workers = workers;
     sr::TunasSearch search(
         f.space, f.net, *f.pipe,
         sr::PerfFn(

@@ -250,12 +250,11 @@ runFaultySweep(size_t threads)
         return out;
     };
 
-    ev::EvalEngineConfig cfg;
-    cfg.numShards = shards;
+    ex::ExecConfig cfg;
     cfg.threads = threads;
     cfg.faults = &faults;
     ev::EvalEngine engine(
-        perf_batch, reward, cfg,
+        perf_batch, reward, shards, cfg,
         [](const ss::Sample &sample) { return double(sample[0] % 7); });
 
     std::vector<Rng> shard_rngs;
