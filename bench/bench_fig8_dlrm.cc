@@ -47,12 +47,13 @@ breakdown(const arch::DlrmArch &a, const hw::Platform &platform)
     sim::Graph g =
         arch::buildDlrmGraph(a, platform, arch::ExecMode::Training);
     sim::Simulator simulator({platform.chip, true, true, {}});
-    auto res = simulator.run(g);
+    std::vector<sim::OpTiming> per_op;
+    auto res = simulator.run(g, &per_op);
     Breakdown b;
     b.stepSec = res.stepTimeSec;
     for (size_t i = 0; i < g.size(); ++i) {
         const auto &op = g.op(static_cast<sim::OpId>(i));
-        double sec = res.perOp[i].seconds;
+        double sec = per_op[i].seconds;
         if (op.kind == sim::OpKind::EmbeddingLookup ||
             op.kind == sim::OpKind::AllToAll)
             b.embeddingSec += sec;

@@ -8,7 +8,9 @@
  * cache at several fill-pool sizes. For every pool size the bench
  * checks, against the serial (1-thread) baseline:
  *
- *  - every SimResult field of every batch position is bit-identical;
+ *  - every SimResult field of every batch position is bit-identical,
+ *    and so are the per-op timings each fill requested from
+ *    Simulator::run for the positions it simulated;
  *  - hit/miss/entry counters are identical (duplicates hit nothing on
  *    a cold fill: they dedupe inside the batch instead);
  *  - save() produces byte-identical streams, i.e. insertion order and
@@ -46,7 +48,7 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/** Bitwise equality over every SimResult field, perOp included. */
+/** Bitwise equality over every SimResult field. */
 bool
 identicalResult(const sim::SimResult &a, const sim::SimResult &b)
 {
@@ -59,14 +61,21 @@ identicalResult(const sim::SimResult &a, const sim::SimResult &b)
             r.onChipSec,       r.networkSec,     r.criticalPathSec,
             r.tensorUtilization, r.avgPowerW,    r.energyPerStepJ};
     };
-    if (scalars(a) != scalars(b) || a.boundBy != b.boundBy ||
-        a.liveOps != b.liveOps || a.fusedOps != b.fusedOps ||
-        a.paramsResident != b.paramsResident ||
-        a.perOp.size() != b.perOp.size())
+    return scalars(a) == scalars(b) && a.boundBy == b.boundBy &&
+           a.liveOps == b.liveOps && a.fusedOps == b.fusedOps &&
+           a.paramsResident == b.paramsResident;
+}
+
+/** Bitwise equality over every per-op timing field. */
+bool
+identicalTimings(const std::vector<sim::OpTiming> &a,
+                 const std::vector<sim::OpTiming> &b)
+{
+    if (a.size() != b.size())
         return false;
-    for (size_t i = 0; i < a.perOp.size(); ++i) {
-        const auto &x = a.perOp[i];
-        const auto &y = b.perOp[i];
+    for (size_t i = 0; i < a.size(); ++i) {
+        const auto &x = a[i];
+        const auto &y = b[i];
         if (x.seconds != y.seconds || x.tensorBusySec != y.tensorBusySec ||
             x.vpuBusySec != y.vpuBusySec || x.hbmBytes != y.hbmBytes ||
             x.onChipBytes != y.onChipBytes ||
@@ -85,6 +94,8 @@ struct FillRun
     uint64_t computedPositions = 0; ///< total miss positions computed
     sim::SimCacheStats stats;
     std::vector<sim::SimResult> results;
+    /** Per-op timings by batch position (empty for duplicates). */
+    std::vector<std::vector<sim::OpTiming>> perOp;
     std::string saved; ///< save() image, for byte comparison
 };
 
@@ -151,21 +162,22 @@ main(int argc, char **argv)
             pool = std::make_unique<exec::ThreadPool>(threads);
         std::atomic<uint64_t> calls{0};
         std::atomic<uint64_t> positions{0};
+        // Each distinct miss position is computed by exactly one chunk,
+        // so workers write disjoint perOp slots.
+        run.perOp.resize(keys.size());
         auto compute = [&](const std::vector<size_t> &misses) {
             calls.fetch_add(1, std::memory_order_relaxed);
             positions.fetch_add(misses.size(), std::memory_order_relaxed);
             sim::Simulator simulator(config);
-            std::vector<sim::Graph> graphs;
-            graphs.reserve(misses.size());
+            std::vector<sim::SimResult> results;
+            results.reserve(misses.size());
             for (size_t k : misses)
-                graphs.push_back(arch::buildDlrmGraph(
-                    space.decode(samples[k % n_distinct]), platform,
-                    arch::ExecMode::Training));
-            std::vector<const sim::Graph *> ptrs;
-            ptrs.reserve(graphs.size());
-            for (const auto &g : graphs)
-                ptrs.push_back(&g);
-            return simulator.runBatch(ptrs);
+                results.push_back(simulator.run(
+                    arch::buildDlrmGraph(
+                        space.decode(samples[k % n_distinct]), platform,
+                        arch::ExecMode::Training),
+                    &run.perOp[k]));
+            return results;
         };
         auto start = Clock::now();
         run.results =
@@ -211,9 +223,13 @@ main(int argc, char **argv)
               tag + " save() image differs from serial");
         check(run.results.size() == base.results.size(),
               tag + " result count differs");
-        for (size_t i = 0; i < base.results.size() && ok; ++i)
+        for (size_t i = 0; i < base.results.size() && ok; ++i) {
             check(identicalResult(run.results[i], base.results[i]),
                   tag + " result " + std::to_string(i) + " differs");
+            check(identicalTimings(run.perOp[i], base.perOp[i]),
+                  tag + " per-op timings " + std::to_string(i) +
+                      " differ");
+        }
     }
 
     std::cout << "simcache fill: " << n_distinct << " distinct x " << dup

@@ -93,10 +93,10 @@ class CachedDlrmTimer
         return _cache
             ->getOrCompute(key,
                            [&] {
-                               arch::DlrmArch a = space.decode(sample);
-                               sim::Simulator simulator(_trainConfig);
-                               return simulator.run(arch::buildDlrmGraph(
-                                   a, _train, arch::ExecMode::Training));
+                               return simulate(
+                                   sim::Simulator(_trainConfig), space,
+                                   sample, _train,
+                                   arch::ExecMode::Training);
                            })
             .stepTimeSec;
     }
@@ -110,24 +110,21 @@ class CachedDlrmTimer
         return _cache
             ->getOrCompute(key,
                            [&] {
-                               arch::DlrmArch serving =
-                                   space.decode(sample);
-                               serving.globalBatch = 1024;
-                               sim::Simulator simulator(_serveConfig);
-                               return simulator.run(arch::buildDlrmGraph(
-                                   serving, _serve,
-                                   arch::ExecMode::Serving));
+                               return simulate(
+                                   sim::Simulator(_serveConfig), space,
+                                   sample, _serve,
+                                   arch::ExecMode::Serving);
                            })
             .stepTimeSec;
     }
 
     /**
      * Batched training step times, parallel to `samples`. One
-     * getOrComputeBatch (each cache stripe locked once per phase) with
-     * Simulator::runBatch over chunks of the distinct misses —
-     * computed in parallel on the fill pool when one was requested —
-     * equal values to per-sample trainStepTime calls, identical
-     * hit/miss totals.
+     * getOrComputeBatch (each cache stripe locked once per phase)
+     * whose distinct misses are decoded, lowered and simulated one
+     * graph at a time — chunks of them in parallel on the fill pool
+     * when one was requested — equal values to per-sample
+     * trainStepTime calls, identical hit/miss totals.
      */
     std::vector<double>
     trainStepTimes(const searchspace::DlrmSearchSpace &space,
@@ -152,8 +149,8 @@ class CachedDlrmTimer
      * chip) pairs go through ONE getOrComputeBatch — keys are laid out
      * candidate-major ([i*k + c]) under the usual serve tag, with each
      * target's SimConfig fingerprint keeping the k keyspaces disjoint —
-     * and misses simulate through Simulator::runBatchMulti (one
-     * PassWorkspace fetch per chunk, one simulator core per target).
+     * and misses simulate one graph at a time on their target's
+     * simulator core.
      * A one-element TargetSet whose platform equals the timer's serve
      * platform issues exactly serveStepTimes' key sequence: identical
      * hits, misses, LRU image and values.
@@ -177,27 +174,20 @@ class CachedDlrmTimer
                 keys.push_back(sim::makeSimCacheKey(s, _serveTag,
                                                     configs[c]));
         // As in stepTimes, the lambda touches only locals + const state
-        // (configs/targets/samples), so fill-pool fan-out is safe.
+        // (sims/targets/samples), so fill-pool fan-out is safe.
+        const std::vector<sim::Simulator> sims(configs.begin(),
+                                               configs.end());
         auto results = _cache->getOrComputeBatch(
             keys,
             [&](const std::vector<size_t> &misses) {
-                std::vector<sim::Graph> graphs;
-                graphs.reserve(misses.size());
-                for (size_t pos : misses) {
-                    arch::DlrmArch serving =
-                        space.decode(samples[pos / k]);
-                    serving.globalBatch = 1024;
-                    graphs.push_back(arch::buildDlrmGraph(
-                        serving, targets[pos % k].platform,
-                        arch::ExecMode::Serving));
-                }
-                std::vector<sim::SimRequest> reqs;
-                reqs.reserve(misses.size());
-                for (size_t j = 0; j < misses.size(); ++j)
-                    reqs.push_back(
-                        sim::SimRequest{&graphs[j],
-                                        &configs[misses[j] % k]});
-                return sim::Simulator::runBatchMulti(reqs);
+                std::vector<sim::SimResult> out;
+                out.reserve(misses.size());
+                for (size_t pos : misses)
+                    out.push_back(simulate(sims[pos % k], space,
+                                           samples[pos / k],
+                                           targets[pos % k].platform,
+                                           arch::ExecMode::Serving));
+                return out;
             },
             _fillPool.get());
         std::vector<std::vector<double>> out(samples.size());
@@ -215,6 +205,20 @@ class CachedDlrmTimer
     sim::SimCache &cache() { return *_cache; }
 
   private:
+    /** Decode, lower and simulate one sample; the graph lives only
+     *  for this call. Serving graphs use serving batch 1024. */
+    static sim::SimResult
+    simulate(const sim::Simulator &simulator,
+             const searchspace::DlrmSearchSpace &space,
+             const searchspace::Sample &sample, const hw::Platform &platform,
+             arch::ExecMode mode)
+    {
+        arch::DlrmArch a = space.decode(sample);
+        if (mode == arch::ExecMode::Serving)
+            a.globalBatch = 1024;
+        return simulator.run(arch::buildDlrmGraph(a, platform, mode));
+    }
+
     void makeFillPool(size_t fill_threads)
     {
         size_t resolved = exec::ThreadPool::resolve(
@@ -233,28 +237,20 @@ class CachedDlrmTimer
         keys.reserve(samples.size());
         for (const auto &s : samples)
             keys.push_back(sim::makeSimCacheKey(s, tag, config));
-        // The cache chunks the distinct misses (kDefaultFillChunk), so
-        // at most one chunk's worth of decoded graphs is live per
-        // worker, and fans the chunks out over _fillPool when present.
-        // The lambda touches only locals + const state: thread-safe.
+        // The cache chunks the distinct misses (kDefaultFillChunk) and
+        // fans the chunks out over _fillPool when present; each worker
+        // holds one decoded graph at a time. The lambda touches only
+        // locals + const state: thread-safe.
+        const sim::Simulator simulator(config);
         auto results = _cache->getOrComputeBatch(
             keys,
             [&](const std::vector<size_t> &misses) {
-                sim::Simulator simulator(config);
-                std::vector<sim::Graph> graphs;
-                graphs.reserve(misses.size());
-                for (size_t k : misses) {
-                    arch::DlrmArch a = space.decode(samples[k]);
-                    if (mode == arch::ExecMode::Serving)
-                        a.globalBatch = 1024;
-                    graphs.push_back(
-                        arch::buildDlrmGraph(a, platform, mode));
-                }
-                std::vector<const sim::Graph *> ptrs;
-                ptrs.reserve(graphs.size());
-                for (const auto &g : graphs)
-                    ptrs.push_back(&g);
-                return simulator.runBatch(ptrs);
+                std::vector<sim::SimResult> out;
+                out.reserve(misses.size());
+                for (size_t k : misses)
+                    out.push_back(simulate(simulator, space, samples[k],
+                                           platform, mode));
+                return out;
             },
             _fillPool.get());
         std::vector<double> out;

@@ -34,10 +34,10 @@ dumpGraph(const Graph &graph, std::ostream &os)
 
 void
 dumpGraphWithTimings(const Graph &graph, const SimResult &result,
-                     std::ostream &os)
+                     std::span<const OpTiming> per_op, std::ostream &os)
 {
-    h2o_assert(result.perOp.size() == graph.size(),
-               "SimResult does not match graph (", result.perOp.size(),
+    h2o_assert(per_op.size() == graph.size(),
+               "per-op timing table does not match graph (", per_op.size(),
                " timings for ", graph.size(), " ops)");
     os << "graph '" << graph.name()
        << "': step=" << result.stepTimeSec * 1e3
@@ -48,7 +48,7 @@ dumpGraphWithTimings(const Graph &graph, const SimResult &result,
        << std::setw(12) << "cmem MB" << "bound\n";
     for (size_t i = 0; i < graph.size(); ++i) {
         const Op &op = graph.op(static_cast<OpId>(i));
-        const OpTiming &t = result.perOp[i];
+        const OpTiming &t = per_op[i];
         if (op.fusedAway)
             continue;
         os << std::setw(5) << i << std::setw(28) << op.name

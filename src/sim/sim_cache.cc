@@ -112,19 +112,47 @@ SimCache::shardFor(const SimCacheKey &key)
     return *_shards[simCacheKeyHash(key) % _shards.size()];
 }
 
+SimCache::Entry *
+SimCache::touchLocked(Shard &shard, const SimCacheKey &key)
+{
+    auto it = shard.index.find(key);
+    if (it == shard.index.end())
+        return nullptr;
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    it->second->tick = nextTick();
+    return &*it->second;
+}
+
+bool
+SimCache::insertLocked(Shard &shard, const SimCacheKey &key,
+                       const SimResult &value)
+{
+    if (Entry *e = touchLocked(shard, key)) {
+        // Concurrent miss raced us here; results are identical (the
+        // simulator is pure), keep the freshest.
+        e->value = value;
+        return false;
+    }
+    shard.lru.push_front(Entry{key, value, nextTick()});
+    shard.index.emplace(&shard.lru.front().key, shard.lru.begin());
+    if (shard.index.size() <= _shardCapacity)
+        return false;
+    shard.index.erase(&shard.lru.back().key);
+    shard.lru.pop_back();
+    return true;
+}
+
 bool
 SimCache::lookup(const SimCacheKey &key, SimResult &out)
 {
     Shard &shard = shardFor(key);
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it == shard.index.end()) {
+    const Entry *e = touchLocked(shard, key);
+    if (e == nullptr) {
         _misses.fetch_add(1, std::memory_order_relaxed);
         return false;
     }
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    it->second->tick = nextTick();
-    out = it->second->value;
+    out = e->value;
     _hits.fetch_add(1, std::memory_order_relaxed);
     return true;
 }
@@ -134,22 +162,8 @@ SimCache::insert(const SimCacheKey &key, SimResult value)
 {
     Shard &shard = shardFor(key);
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-        // Concurrent miss raced us here; results are identical (the
-        // simulator is pure), keep the freshest and refresh LRU.
-        it->second->value = std::move(value);
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-        it->second->tick = nextTick();
-        return;
-    }
-    shard.lru.push_front(Entry{key, std::move(value), nextTick()});
-    shard.index.emplace(key, shard.lru.begin());
-    if (shard.index.size() > _shardCapacity) {
-        shard.index.erase(shard.lru.back().key);
-        shard.lru.pop_back();
+    if (insertLocked(shard, key, value))
         _evictions.fetch_add(1, std::memory_order_relaxed);
-    }
 }
 
 std::vector<char>
@@ -180,14 +194,12 @@ SimCache::lookupBatch(std::span<const SimCacheKey> keys,
         for (size_t j = i; j < n; ++j) {
             if (stripe_of[j] != s)
                 continue;
-            auto it = shard.index.find(keys[j]);
-            if (it == shard.index.end()) {
+            const Entry *e = touchLocked(shard, keys[j]);
+            if (e == nullptr) {
                 ++misses;
                 continue;
             }
-            shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-            it->second->tick = nextTick();
-            out[j] = it->second->value;
+            out[j] = e->value;
             hit[j] = 1;
             ++hits;
         }
@@ -200,7 +212,7 @@ SimCache::lookupBatch(std::span<const SimCacheKey> keys,
 }
 
 void
-SimCache::insertBatch(std::span<const SimCacheKey> keys,
+SimCache::insertBatch(std::span<const SimCacheKey *const> keys,
                       std::span<const SimResult> values)
 {
     h2o_assert(keys.size() == values.size(),
@@ -208,7 +220,7 @@ SimCache::insertBatch(std::span<const SimCacheKey> keys,
     size_t n = keys.size();
     std::vector<size_t> stripe_of(n);
     for (size_t i = 0; i < n; ++i)
-        stripe_of[i] = simCacheKeyHash(keys[i]) % _shards.size();
+        stripe_of[i] = simCacheKeyHash(*keys[i]) % _shards.size();
 
     uint64_t evictions = 0;
     std::vector<char> stripe_seen(_shards.size(), 0);
@@ -219,25 +231,10 @@ SimCache::insertBatch(std::span<const SimCacheKey> keys,
         stripe_seen[s] = 1;
         Shard &shard = *_shards[s];
         std::lock_guard<std::mutex> lock(shard.mu);
-        for (size_t j = i; j < n; ++j) {
-            if (stripe_of[j] != s)
-                continue;
-            auto it = shard.index.find(keys[j]);
-            if (it != shard.index.end()) {
-                it->second->value = values[j];
-                shard.lru.splice(shard.lru.begin(), shard.lru,
-                                 it->second);
-                it->second->tick = nextTick();
-                continue;
-            }
-            shard.lru.push_front(Entry{keys[j], values[j], nextTick()});
-            shard.index.emplace(keys[j], shard.lru.begin());
-            if (shard.index.size() > _shardCapacity) {
-                shard.index.erase(shard.lru.back().key);
-                shard.lru.pop_back();
+        for (size_t j = i; j < n; ++j)
+            if (stripe_of[j] == s &&
+                insertLocked(shard, *keys[j], values[j]))
                 ++evictions;
-            }
-        }
     }
     if (evictions)
         _evictions.fetch_add(evictions, std::memory_order_relaxed);
@@ -271,7 +268,9 @@ SimCache::clear()
 
 namespace {
 
-constexpr uint64_t kSimCacheFormatVersion = 1;
+/** Version 2 dropped version 1's per-result `res_per_op` record. */
+constexpr uint64_t kSimCacheFormatVersion = 2;
+constexpr uint64_t kSimCacheFormatWithPerOp = 1;
 
 void
 writeResult(std::ostream &os, const SimResult &r)
@@ -289,18 +288,6 @@ writeResult(std::ostream &os, const SimResult &r)
                             static_cast<uint64_t>(r.liveOps),
                             static_cast<uint64_t>(r.fusedOps),
                             r.paramsResident ? 1ULL : 0ULL});
-    std::vector<double> per_op;
-    per_op.reserve(r.perOp.size() * 7);
-    for (const OpTiming &t : r.perOp) {
-        per_op.push_back(t.seconds);
-        per_op.push_back(t.tensorBusySec);
-        per_op.push_back(t.vpuBusySec);
-        per_op.push_back(t.hbmBytes);
-        per_op.push_back(t.onChipBytes);
-        per_op.push_back(t.networkBytes);
-        per_op.push_back(static_cast<double>(t.boundBy));
-    }
-    common::writeTagged(os, "res_per_op", per_op);
 }
 
 SimResult
@@ -336,22 +323,37 @@ readResult(std::istream &is)
     r.liveOps = static_cast<size_t>(meta[1]);
     r.fusedOps = static_cast<size_t>(meta[2]);
     r.paramsResident = meta[3] != 0;
-    auto per_op = common::readTagged(is, "res_per_op");
-    if (per_op.size() % 7 != 0)
-        h2o_fatal("malformed sim-cache per-op record");
-    r.perOp.resize(per_op.size() / 7);
-    for (size_t i = 0; i < r.perOp.size(); ++i) {
-        OpTiming &t = r.perOp[i];
-        const double *p = per_op.data() + i * 7;
-        t.seconds = p[0];
-        t.tensorBusySec = p[1];
-        t.vpuBusySec = p[2];
-        t.hbmBytes = p[3];
-        t.onChipBytes = p[4];
-        t.networkBytes = p[5];
-        t.boundBy = static_cast<hw::BoundBy>(p[6]);
-    }
     return r;
+}
+
+/**
+ * Parse a save()d image, handing each (key, result) to `onEntry` in
+ * stream order. Version 1 images still load: their per-op record
+ * (seven scalars per op) is checked for shape and dropped.
+ */
+template <typename Fn>
+void
+readImage(std::istream &is, Fn &&onEntry)
+{
+    auto header = common::readTaggedU64(is, "sim_cache");
+    if (header.size() != 2 || (header[0] != kSimCacheFormatVersion &&
+                               header[0] != kSimCacheFormatWithPerOp))
+        h2o_fatal("unsupported sim-cache stream header");
+    const bool has_per_op = header[0] == kSimCacheFormatWithPerOp;
+    const uint64_t count = header[1];
+    for (uint64_t i = 0; i < count; ++i) {
+        auto key_words = common::readTaggedU64(is, "key");
+        if (key_words.empty())
+            h2o_fatal("malformed sim-cache key record");
+        SimCacheKey key;
+        key.configFingerprint = key_words[0];
+        key.decisions.assign(key_words.begin() + 1, key_words.end());
+        SimResult result = readResult(is);
+        if (has_per_op &&
+            common::readTagged(is, "res_per_op").size() % 7 != 0)
+            h2o_fatal("malformed sim-cache per-op record");
+        onEntry(std::move(key), result);
+    }
 }
 
 } // namespace
@@ -396,19 +398,9 @@ SimCache::save(std::ostream &os) const
 void
 SimCache::load(std::istream &is)
 {
-    auto header = common::readTaggedU64(is, "sim_cache");
-    if (header.size() != 2 || header[0] != kSimCacheFormatVersion)
-        h2o_fatal("unsupported sim-cache stream header");
-    size_t count = static_cast<size_t>(header[1]);
-    for (size_t i = 0; i < count; ++i) {
-        auto key_words = common::readTaggedU64(is, "key");
-        if (key_words.empty())
-            h2o_fatal("malformed sim-cache key record");
-        SimCacheKey key;
-        key.configFingerprint = key_words[0];
-        key.decisions.assign(key_words.begin() + 1, key_words.end());
-        insert(key, readResult(is));
-    }
+    readImage(is, [this](SimCacheKey &&key, const SimResult &result) {
+        insert(key, result);
+    });
 }
 
 void
@@ -416,53 +408,46 @@ SimCache::mergeFrom(std::istream &is)
 {
     // Parse the incoming stream up front (save() wrote it globally
     // oldest-first; that relative order is preserved below).
-    auto header = common::readTaggedU64(is, "sim_cache");
-    if (header.size() != 2 || header[0] != kSimCacheFormatVersion)
-        h2o_fatal("unsupported sim-cache stream header");
-    size_t count = static_cast<size_t>(header[1]);
     std::vector<std::pair<SimCacheKey, SimResult>> incoming;
-    incoming.reserve(count);
-    for (size_t i = 0; i < count; ++i) {
-        auto key_words = common::readTaggedU64(is, "key");
-        if (key_words.empty())
-            h2o_fatal("malformed sim-cache key record");
-        SimCacheKey key;
-        key.configFingerprint = key_words[0];
-        key.decisions.assign(key_words.begin() + 1, key_words.end());
-        incoming.emplace_back(std::move(key), readResult(is));
-    }
+    readImage(is, [&](SimCacheKey &&key, const SimResult &result) {
+        incoming.emplace_back(std::move(key), result);
+    });
 
-    // Snapshot the live entries, globally oldest-first by recency tick.
+    // Take the live entries out of every shard, then order them
+    // globally oldest-first by recency tick.
     std::vector<Entry> live;
     {
         std::vector<std::unique_lock<std::mutex>> locks;
         locks.reserve(_shards.size());
         for (const auto &shard : _shards)
             locks.emplace_back(shard->mu);
-        for (const auto &shard : _shards)
-            for (const Entry &e : shard->lru)
-                live.push_back(e);
+        for (const auto &shard : _shards) {
+            for (Entry &e : shard->lru)
+                live.push_back(std::move(e));
+            shard->index.clear();
+            shard->lru.clear();
+        }
     }
     std::sort(live.begin(), live.end(),
               [](const Entry &a, const Entry &b) {
                   return a.tick < b.tick;
               });
-    std::unordered_set<SimCacheKey, KeyHash> live_keys;
+    std::unordered_set<const SimCacheKey *, KeyRefHash, KeyRefEq>
+        live_keys;
     live_keys.reserve(live.size());
     for (const Entry &e : live)
-        live_keys.insert(e.key);
+        live_keys.insert(&e.key);
 
     // Rebuild: stream-only entries first (they take the oldest recency
     // ranks), then the live entries oldest-to-newest, so LRU eviction
     // under capacity pressure drops the merged-in entries before
     // anything this process computed, and a key present on both sides
     // keeps the live value.
-    clear();
-    for (auto &[key, value] : incoming)
+    for (const auto &[key, value] : incoming)
         if (!live_keys.contains(key))
-            insert(key, std::move(value));
-    for (Entry &e : live)
-        insert(e.key, std::move(e.value));
+            insert(key, value);
+    for (const Entry &e : live)
+        insert(e.key, e.value);
 }
 
 bool

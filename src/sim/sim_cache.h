@@ -9,7 +9,10 @@
  * baseline. HW-NAS-Bench-style cost lookup is the standard way to
  * amortize those repeats: SimCache maps a canonical key — the candidate's
  * decision encoding plus a fingerprint of the chip and pass configuration
- * — to the full SimResult.
+ * — to the aggregate SimResult. Entries hold only what callers read:
+ * the result is flat (per-op timings come from Simulator::run on
+ * request, never from the cache), and each key is stored once, in its
+ * LRU entry; the shard's hash index points at that copy.
  *
  * Concurrency: the table is sharded by key hash with one mutex per
  * shard (mutex striping), so concurrent evaluators from h2o::exec rarely
@@ -135,14 +138,9 @@ class SimCache
     std::vector<char> lookupBatch(std::span<const SimCacheKey> keys,
                                   std::vector<SimResult> &out);
 
-    /** Batched insert, one stripe-lock acquisition per stripe touched.
-     *  keys and values are parallel arrays. */
-    void insertBatch(std::span<const SimCacheKey> keys,
-                     std::span<const SimResult> values);
-
     /** Default bound on distinct misses handed to one computeMisses
-     *  call: keeps thousands of decoded graphs from ever being live at
-     *  once, and is the unit of work a fill pool's workers steal. */
+     *  call: the unit of work a fill pool's workers steal, and the most
+     *  results one call returns at once. */
     static constexpr size_t kDefaultFillChunk = 256;
 
     /**
@@ -186,12 +184,15 @@ class SimCache
         std::vector<size_t> miss_pos;
         std::vector<size_t> rep_of;
         {
-            std::unordered_map<SimCacheKey, size_t, KeyHash> first_seen;
+            // Keyed by batch position: the map points into `keys`.
+            std::unordered_map<const SimCacheKey *, size_t, KeyRefHash,
+                               KeyRefEq>
+                first_seen;
             for (size_t i = 0; i < keys.size(); ++i) {
                 if (hit[i])
                     continue;
                 auto [it, inserted] =
-                    first_seen.try_emplace(keys[i], reps.size());
+                    first_seen.try_emplace(&keys[i], reps.size());
                 if (inserted)
                     reps.push_back(i);
                 miss_pos.push_back(i);
@@ -214,7 +215,7 @@ class SimCache
             h2o_assert(out.size() == part.size(),
                        "computeMisses returned ", out.size(),
                        " results for ", part.size(), " misses");
-            std::move(out.begin(), out.end(),
+            std::copy(out.begin(), out.end(),
                       fresh.begin() + static_cast<ptrdiff_t>(lo));
         };
         if (fill_pool != nullptr && fill_pool->size() > 1 && n_chunks > 1) {
@@ -244,18 +245,15 @@ class SimCache
         // Write-back on the calling thread, ascending representative
         // position: insertion/eviction/recency order is a function of
         // the batch alone, never of worker timing.
-        std::vector<SimCacheKey> miss_keys;
+        std::vector<const SimCacheKey *> miss_keys;
         miss_keys.reserve(reps.size());
         for (size_t i : reps)
-            miss_keys.push_back(keys[i]);
+            miss_keys.push_back(&keys[i]);
         insertBatch(miss_keys, fresh);
 
-        // Fan out: duplicate positions copy, the representative moves.
+        // Fan out to every miss position, duplicates included.
         for (size_t j = 0; j < miss_pos.size(); ++j)
-            if (miss_pos[j] != reps[rep_of[j]])
-                results[miss_pos[j]] = fresh[rep_of[j]];
-        for (size_t r = 0; r < reps.size(); ++r)
-            results[reps[r]] = std::move(fresh[r]);
+            results[miss_pos[j]] = fresh[rep_of[j]];
         return results;
     }
 
@@ -285,6 +283,9 @@ class SimCache
      * subsequent load() therefore reproduces the recency order even
      * into a cache with a different capacity or shard count. Counters
      * are not persisted — they describe a process, not the contents.
+     * Writes image version 2 (key and aggregate result per entry);
+     * load() and mergeFrom() also read version 1, whose per-op timing
+     * records are checked and dropped.
      */
     void save(std::ostream &os) const;
 
@@ -325,24 +326,58 @@ class SimCache
         /** Global recency stamp (higher = more recent); orders save(). */
         uint64_t tick = 0;
     };
-    struct KeyHash
+    /** Hash and equality over the key a pointer refers to. Both are
+     *  transparent, so an index keyed by pointers into storage it does
+     *  not own is searched with a plain key. */
+    struct KeyRefHash
     {
+        using is_transparent = void;
         size_t operator()(const SimCacheKey &k) const
         {
             return static_cast<size_t>(simCacheKeyHash(k));
+        }
+        size_t operator()(const SimCacheKey *k) const { return (*this)(*k); }
+    };
+    struct KeyRefEq
+    {
+        using is_transparent = void;
+        static const SimCacheKey &ref(const SimCacheKey &k) { return k; }
+        static const SimCacheKey &ref(const SimCacheKey *k) { return *k; }
+        template <typename A, typename B>
+        bool operator()(const A &a, const B &b) const
+        {
+            return ref(a) == ref(b);
         }
     };
     struct Shard
     {
         std::mutex mu;
-        /** Front = most recently used. */
+        /** Front = most recently used. Owns the entries' keys. */
         std::list<Entry> lru;
-        std::unordered_map<SimCacheKey, std::list<Entry>::iterator,
-                           KeyHash>
+        /** Keyed by the address of the key inside its `lru` entry
+         *  (list nodes never move), so each key is stored once. */
+        std::unordered_map<const SimCacheKey *, std::list<Entry>::iterator,
+                           KeyRefHash, KeyRefEq>
             index;
     };
 
     Shard &shardFor(const SimCacheKey &key);
+
+    /** With the shard locked: refresh a present key's LRU position and
+     *  recency tick and return its entry, or null when absent. */
+    Entry *touchLocked(Shard &shard, const SimCacheKey &key);
+
+    /** With the shard locked: insert or overwrite, evicting the shard's
+     *  least-recently-used entry when over budget. Returns whether an
+     *  entry was evicted. */
+    bool insertLocked(Shard &shard, const SimCacheKey &key,
+                      const SimResult &value);
+
+    /** Batched insert, one stripe-lock acquisition per stripe touched.
+     *  keys and values are parallel arrays; the keys point into the
+     *  caller's batch, so each is copied only into its new entry. */
+    void insertBatch(std::span<const SimCacheKey *const> keys,
+                     std::span<const SimResult> values);
 
     /** Next global recency stamp (see Entry::tick). */
     uint64_t nextTick()

@@ -14,12 +14,12 @@ Simulator::Simulator(SimConfig config) : _config(std::move(config))
 }
 
 SimResult
-Simulator::run(const Graph &input) const
+Simulator::run(const Graph &input, std::vector<OpTiming> *per_op) const
 {
     input.validate();
     // Pass annotations live in a reusable per-thread workspace: the
     // graph itself stays read-only and is never copied.
-    return runValidated(input, PassWorkspace::forThread());
+    return runValidated(input, PassWorkspace::forThread(), per_op);
 }
 
 std::vector<SimResult>
@@ -39,48 +39,14 @@ Simulator::runBatch(std::span<const Graph *const> graphs) const
             g->validate();
             validated.push_back(g);
         }
-        results.push_back(runValidated(*g, ws));
-    }
-    return results;
-}
-
-std::vector<SimResult>
-Simulator::runBatchMulti(std::span<const SimRequest> requests)
-{
-    std::vector<SimResult> results;
-    results.reserve(requests.size());
-    PassWorkspace &ws = PassWorkspace::forThread();
-    std::vector<const Graph *> validated;
-    // Simulators are cheap to build (a config copy); cache one per
-    // distinct config pointer so (candidate x chip) batches construct k
-    // cores, not n*k.
-    std::vector<std::pair<const SimConfig *, Simulator>> sims;
-    for (const SimRequest &req : requests) {
-        h2o_assert(req.graph != nullptr, "null graph in runBatchMulti");
-        h2o_assert(req.config != nullptr, "null config in runBatchMulti");
-        if (std::find(validated.begin(), validated.end(), req.graph) ==
-            validated.end()) {
-            req.graph->validate();
-            validated.push_back(req.graph);
-        }
-        const Simulator *sim = nullptr;
-        for (const auto &entry : sims) {
-            if (entry.first == req.config) {
-                sim = &entry.second;
-                break;
-            }
-        }
-        if (sim == nullptr) {
-            sims.emplace_back(req.config, Simulator(*req.config));
-            sim = &sims.back().second;
-        }
-        results.push_back(sim->runValidated(*req.graph, ws));
+        results.push_back(runValidated(*g, ws, nullptr));
     }
     return results;
 }
 
 SimResult
-Simulator::runValidated(const Graph &input, PassWorkspace &ws) const
+Simulator::runValidated(const Graph &input, PassWorkspace &ws,
+                        std::vector<OpTiming> *per_op) const
 {
     ws.reset(input);
 
@@ -96,7 +62,8 @@ Simulator::runValidated(const Graph &input, PassWorkspace &ws) const
     res.paramsResident = ms.paramsResident;
 
     const auto &ops = input.ops();
-    res.perOp.assign(ops.size(), OpTiming{});
+    if (per_op != nullptr)
+        per_op->assign(ops.size(), OpTiming{});
 
     // Longest-path earliest-finish times over the DAG. Fused-away ops are
     // transparent: they finish when their producer finishes.
@@ -114,7 +81,8 @@ Simulator::runValidated(const Graph &input, PassWorkspace &ws) const
             continue;
         }
         OpTiming t = timeOp(_config.chip, op, a);
-        res.perOp[i] = t;
+        if (per_op != nullptr)
+            (*per_op)[i] = t;
         finish[i] = ready + t.seconds;
 
         res.liveOps += 1;

@@ -21,6 +21,7 @@
 #define H2O_SIM_SIMULATOR_H
 
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "hw/chip.h"
@@ -43,7 +44,9 @@ struct SimConfig
     MemoryConfig memory{};
 };
 
-/** Aggregate result of simulating one step of one graph on one chip. */
+/** Aggregate result of simulating one step of one graph on one chip.
+ *  Per-op timings are not part of it: Simulator::run hands them out on
+ *  request. */
 struct SimResult
 {
     double stepTimeSec = 0.0;    ///< simulated execution time per step
@@ -73,19 +76,11 @@ struct SimResult
     size_t liveOps = 0;
     size_t fusedOps = 0;
     bool paramsResident = false;
-
-    /** Per-live-op timings, parallel to graph op order (fused ops have
-     *  zeroed entries). Kept for the hardware-analysis benches. */
-    std::vector<OpTiming> perOp;
 };
 
-/** One (graph, configuration) pair of a heterogeneous simulation
- *  batch; both pointers must outlive the runBatchMulti call. */
-struct SimRequest
-{
-    const Graph *graph = nullptr;
-    const SimConfig *config = nullptr;
-};
+// SimCache stores and copies results by value on every hit; keep them
+// flat so per-op data cannot creep back into cached results.
+static_assert(std::is_trivially_copyable_v<SimResult>);
 
 /**
  * The simulator. Stateless apart from configuration. run() keeps the
@@ -99,9 +94,15 @@ class Simulator
     /** @param config Chip and pass configuration. */
     explicit Simulator(SimConfig config);
 
-    /** Simulate one execution step of the graph. Implemented as a
-     *  one-element runBatch. */
-    SimResult run(const Graph &graph) const;
+    /**
+     * Simulate one execution step of the graph. Per-op timings are
+     * produced only on request: with a non-null `per_op` the vector is
+     * resized to the graph and filled parallel to its op order (fused
+     * ops keep zeroed entries). The aggregate result does not depend
+     * on whether they were requested.
+     */
+    SimResult run(const Graph &graph,
+                  std::vector<OpTiming> *per_op = nullptr) const;
 
     /**
      * Simulate one step of each graph, in order. The calling thread's
@@ -113,25 +114,15 @@ class Simulator
     std::vector<SimResult>
     runBatch(std::span<const Graph *const> graphs) const;
 
-    /**
-     * Simulate heterogeneous (graph, config) pairs in order — the joint
-     * multi-target path batches all (candidate x chip) pairs of one
-     * evaluation through a single call. As in runBatch, the calling
-     * thread's PassWorkspace is fetched once and each distinct graph
-     * pointer is validated once; one Simulator core is built per
-     * distinct config pointer. Results are element-for-element
-     * identical to per-pair run() calls.
-     */
-    static std::vector<SimResult>
-    runBatchMulti(std::span<const SimRequest> requests);
-
     /** The configured chip. */
     const hw::ChipSpec &chip() const { return _config.chip; }
 
   private:
     /** The per-graph core: passes + timing on an already-validated
-     *  graph, annotations in the caller's workspace. */
-    SimResult runValidated(const Graph &graph, PassWorkspace &ws) const;
+     *  graph, annotations in the caller's workspace; per-op timings
+     *  go to `per_op` when it is non-null. */
+    SimResult runValidated(const Graph &graph, PassWorkspace &ws,
+                           std::vector<OpTiming> *per_op) const;
 
     SimConfig _config;
 };

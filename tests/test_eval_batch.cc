@@ -60,8 +60,10 @@ TEST(SimulatorRunBatch, BitwiseIdenticalToSerialRuns)
     auto batch = simulator.runBatch(ptrs);
     ASSERT_EQ(batch.size(), ptrs.size());
 
+    std::vector<std::vector<sim::OpTiming>> per_op(ptrs.size());
     for (size_t i = 0; i < ptrs.size(); ++i) {
-        sim::SimResult one = simulator.run(*ptrs[i]);
+        // The opt-in per-op path must not change the aggregate either.
+        sim::SimResult one = simulator.run(*ptrs[i], &per_op[i]);
         const sim::SimResult &b = batch[i];
         // EXPECT_EQ on doubles is exact comparison: the batch must be
         // bitwise what N separate run() calls produce.
@@ -78,10 +80,13 @@ TEST(SimulatorRunBatch, BitwiseIdenticalToSerialRuns)
         EXPECT_EQ(one.energyPerStepJ, b.energyPerStepJ);
         EXPECT_EQ(one.liveOps, b.liveOps);
         EXPECT_EQ(one.fusedOps, b.fusedOps);
-        ASSERT_EQ(one.perOp.size(), b.perOp.size());
-        for (size_t j = 0; j < one.perOp.size(); ++j)
-            EXPECT_EQ(one.perOp[j].seconds, b.perOp[j].seconds);
+        ASSERT_EQ(per_op[i].size(), ptrs[i]->size());
     }
+    // Per-op timings of the repeated graph are bitwise those of its
+    // first occurrence.
+    ASSERT_EQ(per_op[6].size(), per_op[2].size());
+    for (size_t j = 0; j < per_op[2].size(); ++j)
+        EXPECT_EQ(per_op[6][j].seconds, per_op[2][j].seconds);
 }
 
 TEST(SimulatorRunBatch, EmptyBatch)

@@ -210,9 +210,10 @@ TEST(Dump, TimingDumpMatchesSimulation)
     // Simulate a private copy the same way Simulator::run does, then
     // dump against the same annotated graph.
     sim::Simulator simulator({hw::tpuV4i(), false, true, {}});
-    auto res = simulator.run(g);
+    std::vector<sim::OpTiming> per_op;
+    auto res = simulator.run(g, &per_op);
     std::ostringstream os;
-    sim::dumpGraphWithTimings(g, res, os);
+    sim::dumpGraphWithTimings(g, res, per_op, os);
     EXPECT_NE(os.str().find("step="), std::string::npos);
     EXPECT_NE(os.str().find("bound"), std::string::npos);
 }
@@ -220,9 +221,10 @@ TEST(Dump, TimingDumpMatchesSimulation)
 TEST(Dump, TimingDumpSizeMismatchPanics)
 {
     sim::Graph g = smallGraph();
-    sim::SimResult res; // empty perOp
+    sim::SimResult res;
+    std::vector<sim::OpTiming> per_op; // no timings for the graph's ops
     std::ostringstream os;
-    EXPECT_DEATH(sim::dumpGraphWithTimings(g, res, os),
+    EXPECT_DEATH(sim::dumpGraphWithTimings(g, res, per_op, os),
                  "does not match graph");
 }
 

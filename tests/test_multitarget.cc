@@ -1,11 +1,11 @@
 /**
  * @file
  * Tests for joint multi-target search: hw::TargetSet construction and
- * validation, Simulator::runBatchMulti, the per-chip batched timer
- * entry point, the MultiTargetReward combiners, the end-to-end search
- * contract (k per-chip Pareto fronts from one run, bit-identical at any
- * thread count, one-element TargetSet == legacy single-target search),
- * the version-2 checkpoint round trip, and the serve-layer JobSpec
+ * validation, the per-chip batched timer entry point, the
+ * MultiTargetReward combiners, the end-to-end search contract (k
+ * per-chip Pareto fronts from one run, bit-identical at any thread
+ * count, one-element TargetSet == legacy single-target search), the
+ * version-2 checkpoint round trip, and the serve-layer JobSpec
  * target list.
  */
 
@@ -174,35 +174,6 @@ TEST(TargetSet, FromModelsCoversRegistry)
         EXPECT_EQ(ts[c].name, hw::chipModelName(hw::allChipModels()[c]));
 }
 
-// ------------------------------------------------------- runBatchMulti
-
-TEST(RunBatchMulti, MatchesPerPairRuns)
-{
-    hw::Platform v4i{hw::tpuV4i(), 1};
-    hw::Platform npu{hw::edgeNpu(), 1};
-    arch::DlrmArch a = arch::baselineDlrm();
-    a.globalBatch = 1024;
-    sim::Graph g0 = arch::buildDlrmGraph(a, v4i, arch::ExecMode::Serving);
-    sim::Graph g1 = arch::buildDlrmGraph(a, npu, arch::ExecMode::Serving);
-    sim::SimConfig c0{v4i.chip, true, true, {}};
-    sim::SimConfig c1{npu.chip, true, true, {}};
-
-    // Interleave graphs and configs so the per-config simulator reuse
-    // path is exercised out of order.
-    std::vector<sim::SimRequest> reqs = {
-        {&g0, &c0}, {&g1, &c1}, {&g0, &c1}, {&g1, &c0}, {&g0, &c0}};
-    auto batch = sim::Simulator::runBatchMulti(reqs);
-    ASSERT_EQ(batch.size(), reqs.size());
-    for (size_t i = 0; i < reqs.size(); ++i) {
-        sim::Simulator solo(*reqs[i].config);
-        sim::SimResult ref = solo.run(*reqs[i].graph);
-        EXPECT_TRUE(sameBits(batch[i].stepTimeSec, ref.stepTimeSec)) << i;
-        EXPECT_TRUE(sameBits(batch[i].totalFlops, ref.totalFlops)) << i;
-    }
-    // The chips genuinely differ, so cross-chip results must too.
-    EXPECT_FALSE(sameBits(batch[0].stepTimeSec, batch[2].stepTimeSec));
-}
-
 // --------------------------------------------------- serveStepTimesMulti
 
 TEST(ServeStepTimesMulti, OneTargetBitwiseEqualsLegacyEntryPoint)
@@ -237,6 +208,52 @@ TEST(ServeStepTimesMulti, OneTargetBitwiseEqualsLegacyEntryPoint)
     EXPECT_EQ(legacy.cacheStats().misses, multi.cacheStats().misses);
     for (size_t i = 0; i < ref.size(); ++i)
         EXPECT_TRUE(sameBits(again[i][0], ref[i]));
+}
+
+TEST(ServeStepTimesMulti, MatchesPerTargetServeStepTimes)
+{
+    // The joint path fills all (candidate x chip) misses through one
+    // batch, one graph at a time, with the targets interleaved inside
+    // every chunk. Column c must be bitwise what a timer serving on
+    // targets[c] alone returns, and the counters must add up.
+    ss::DlrmSearchSpace space(arch::baselineDlrm());
+    hw::TargetSet targets =
+        hw::TargetSet::fromNames("tpuv4i,edgecpu,edgenpu");
+    h2o::common::Rng rng(31);
+    std::vector<ss::Sample> samples;
+    for (size_t i = 0; i < 5; ++i)
+        samples.push_back(space.decisions().uniformSample(rng));
+    samples.push_back(samples[1]); // a duplicate dedupes in the batch
+
+    ev::CachedDlrmTimer multi(hw::trainingPlatform(),
+                              hw::servingPlatform(), size_t{1} << 10);
+    auto out = multi.serveStepTimesMulti(space, samples, targets);
+    auto again = multi.serveStepTimesMulti(space, samples, targets);
+
+    uint64_t hits = 0, misses = 0;
+    size_t entries = 0;
+    for (size_t c = 0; c < targets.size(); ++c) {
+        ev::CachedDlrmTimer solo(hw::trainingPlatform(),
+                                 targets[c].platform, size_t{1} << 10);
+        auto ref = solo.serveStepTimes(space, samples);
+        solo.serveStepTimes(space, samples);
+        ASSERT_EQ(out.size(), ref.size());
+        for (size_t i = 0; i < ref.size(); ++i) {
+            ASSERT_EQ(out[i].size(), targets.size());
+            EXPECT_TRUE(sameBits(out[i][c], ref[i])) << i << "," << c;
+            EXPECT_TRUE(sameBits(again[i][c], ref[i])) << i << "," << c;
+        }
+        sim::SimCacheStats st = solo.cacheStats();
+        hits += st.hits;
+        misses += st.misses;
+        entries += st.entries;
+    }
+    EXPECT_EQ(multi.cacheStats().hits, hits);
+    EXPECT_EQ(multi.cacheStats().misses, misses);
+    EXPECT_EQ(multi.cacheStats().entries, entries);
+    EXPECT_EQ(multi.cacheStats().misses, samples.size() * targets.size());
+    // The chips genuinely differ, so cross-chip results must too.
+    EXPECT_FALSE(sameBits(out[0][0], out[0][1]));
 }
 
 TEST(ServeStepTimesMulti, PerChipColumnsMatchDirectSimulation)

@@ -346,9 +346,10 @@ TEST(Simulator, ParallelBranchesOverlap)
     g.add(ops::matmul("mm", 4096, 4096, 4096));
     g.add(ops::allToAll("a2a", 1e8));
     sim::Simulator simulator({hw::tpuV4(), true, true, {}});
-    auto res = simulator.run(g);
-    double mm_time = res.perOp[0].seconds;
-    double net_time = res.perOp[1].seconds;
+    std::vector<sim::OpTiming> per_op;
+    auto res = simulator.run(g, &per_op);
+    double mm_time = per_op[0].seconds;
+    double net_time = per_op[1].seconds;
     EXPECT_LT(res.stepTimeSec, mm_time + net_time);
     EXPECT_GE(res.stepTimeSec, std::max(mm_time, net_time) - 1e-12);
 }
@@ -361,9 +362,10 @@ TEST(Simulator, ChainSerializes)
     b.inputs = {a};
     g.add(std::move(b));
     sim::Simulator simulator({hw::tpuV4(), true, true, {}});
-    auto res = simulator.run(g);
+    std::vector<sim::OpTiming> per_op;
+    auto res = simulator.run(g, &per_op);
     EXPECT_NEAR(res.criticalPathSec,
-                res.perOp[0].seconds + res.perOp[1].seconds, 1e-12);
+                per_op[0].seconds + per_op[1].seconds, 1e-12);
 }
 
 TEST(Simulator, RunDoesNotMutateCallerGraph)
@@ -385,4 +387,37 @@ TEST(Simulator, DeterministicAcrossRuns)
     auto r2 = simulator.run(g);
     EXPECT_DOUBLE_EQ(r1.stepTimeSec, r2.stepTimeSec);
     EXPECT_DOUBLE_EQ(r1.hbmBytes, r2.hbmBytes);
+}
+
+TEST(Simulator, PerOpTimingsOnRequestLeaveAggregateUnchanged)
+{
+    sim::Simulator simulator({hw::tpuV4i(), true, true, {}});
+    auto g = chainGraph();
+    auto plain = simulator.run(g);
+    std::vector<sim::OpTiming> per_op(3); // resized to the graph
+    auto timed = simulator.run(g, &per_op);
+    EXPECT_EQ(timed.stepTimeSec, plain.stepTimeSec);
+    EXPECT_EQ(timed.tensorBusySec, plain.tensorBusySec);
+    EXPECT_EQ(timed.vpuBusySec, plain.vpuBusySec);
+    EXPECT_EQ(timed.hbmBytes, plain.hbmBytes);
+    EXPECT_EQ(timed.criticalPathSec, plain.criticalPathSec);
+    EXPECT_EQ(timed.energyPerStepJ, plain.energyPerStepJ);
+    EXPECT_EQ(timed.liveOps, plain.liveOps);
+    EXPECT_EQ(timed.fusedOps, plain.fusedOps);
+    ASSERT_EQ(per_op.size(), g.size());
+
+    // The aggregate is the in-order sum over live ops; fused ops keep
+    // zeroed entries, so summing every entry reproduces it exactly.
+    double tensor = 0.0, vpu = 0.0, hbm = 0.0;
+    size_t timed_ops = 0;
+    for (const sim::OpTiming &t : per_op) {
+        tensor += t.tensorBusySec;
+        vpu += t.vpuBusySec;
+        hbm += t.hbmBytes;
+        timed_ops += t.seconds > 0.0 ? 1 : 0;
+    }
+    EXPECT_EQ(tensor, plain.tensorBusySec);
+    EXPECT_EQ(vpu, plain.vpuBusySec);
+    EXPECT_EQ(hbm, plain.hbmBytes);
+    EXPECT_EQ(timed_ops, plain.liveOps);
 }

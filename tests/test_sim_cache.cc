@@ -3,11 +3,13 @@
  * SimCache unit tests: exact hit semantics, no cross-chip/config
  * collisions, LRU eviction, the capacity bound under concurrent mixed
  * lookup/insert traffic (runs under the `concurrency` label),
- * batch-level dedupe of duplicate missing keys, and save()/load()
- * round-trips that preserve global recency order.
+ * batch-level dedupe of duplicate missing keys, save()/load()
+ * round-trips that preserve global recency order, and loading version-1
+ * images (which carried per-op timings) written by earlier builds.
  */
 
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
@@ -34,9 +36,70 @@ resultWithStepTime(double step_sec)
     r.stepTimeSec = step_sec;
     r.totalFlops = step_sec * 2.0;
     r.liveOps = 3;
-    r.perOp.assign(3, sim::OpTiming{});
-    r.perOp[1].seconds = step_sec / 3.0;
     return r;
+}
+
+/** A result whose every field holds a distinct value, some of them
+ *  not exactly representable in decimal. */
+sim::SimResult
+fullResult()
+{
+    sim::SimResult r;
+    r.stepTimeSec = 1.0 / 3.0;
+    r.totalFlops = 3.5e12;
+    r.achievedFlops = 1.05e13;
+    r.operationalIntensity = 0.1;
+    r.hbmBytes = 2.0e9;
+    r.onChipBytes = 7.25e8;
+    r.networkBytes = 1.0e6;
+    r.hbmBandwidthUsed = 6.0e9;
+    r.onChipBandwidthUsed = 2.175e9;
+    r.tensorBusySec = 0.2;
+    r.vpuBusySec = 0.03;
+    r.hbmSec = 0.004;
+    r.onChipSec = 0.0005;
+    r.networkSec = 6e-05;
+    r.criticalPathSec = 0.3;
+    r.boundBy = hw::BoundBy::VectorCompute;
+    r.tensorUtilization = 0.6;
+    r.avgPowerW = 175.5;
+    r.energyPerStepJ = 58.5;
+    r.liveOps = 136;
+    r.fusedOps = 40;
+    r.paramsResident = true;
+    return r;
+}
+
+/** Every SimResult field, bit for bit. */
+void
+expectSameBits(const sim::SimResult &a, const sim::SimResult &b,
+               const std::string &what = "")
+{
+    auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+    EXPECT_EQ(bits(a.stepTimeSec), bits(b.stepTimeSec)) << what;
+    EXPECT_EQ(bits(a.totalFlops), bits(b.totalFlops)) << what;
+    EXPECT_EQ(bits(a.achievedFlops), bits(b.achievedFlops)) << what;
+    EXPECT_EQ(bits(a.operationalIntensity), bits(b.operationalIntensity))
+        << what;
+    EXPECT_EQ(bits(a.hbmBytes), bits(b.hbmBytes)) << what;
+    EXPECT_EQ(bits(a.onChipBytes), bits(b.onChipBytes)) << what;
+    EXPECT_EQ(bits(a.networkBytes), bits(b.networkBytes)) << what;
+    EXPECT_EQ(bits(a.hbmBandwidthUsed), bits(b.hbmBandwidthUsed)) << what;
+    EXPECT_EQ(bits(a.onChipBandwidthUsed), bits(b.onChipBandwidthUsed))
+        << what;
+    EXPECT_EQ(bits(a.tensorBusySec), bits(b.tensorBusySec)) << what;
+    EXPECT_EQ(bits(a.vpuBusySec), bits(b.vpuBusySec)) << what;
+    EXPECT_EQ(bits(a.hbmSec), bits(b.hbmSec)) << what;
+    EXPECT_EQ(bits(a.onChipSec), bits(b.onChipSec)) << what;
+    EXPECT_EQ(bits(a.networkSec), bits(b.networkSec)) << what;
+    EXPECT_EQ(bits(a.criticalPathSec), bits(b.criticalPathSec)) << what;
+    EXPECT_EQ(a.boundBy, b.boundBy) << what;
+    EXPECT_EQ(bits(a.tensorUtilization), bits(b.tensorUtilization)) << what;
+    EXPECT_EQ(bits(a.avgPowerW), bits(b.avgPowerW)) << what;
+    EXPECT_EQ(bits(a.energyPerStepJ), bits(b.energyPerStepJ)) << what;
+    EXPECT_EQ(a.liveOps, b.liveOps) << what;
+    EXPECT_EQ(a.fusedOps, b.fusedOps) << what;
+    EXPECT_EQ(a.paramsResident, b.paramsResident) << what;
 }
 
 sim::SimConfig
@@ -56,14 +119,10 @@ TEST(SimCache, HitReturnsExactCachedResult)
     sim::SimResult out;
     EXPECT_FALSE(cache.lookup(key, out));
 
-    sim::SimResult stored = resultWithStepTime(0.125);
+    sim::SimResult stored = fullResult();
     cache.insert(key, stored);
     ASSERT_TRUE(cache.lookup(key, out));
-    EXPECT_EQ(out.stepTimeSec, stored.stepTimeSec);
-    EXPECT_EQ(out.totalFlops, stored.totalFlops);
-    EXPECT_EQ(out.liveOps, stored.liveOps);
-    ASSERT_EQ(out.perOp.size(), stored.perOp.size());
-    EXPECT_EQ(out.perOp[1].seconds, stored.perOp[1].seconds);
+    expectSameBits(out, stored);
 
     sim::SimCacheStats stats = cache.stats();
     EXPECT_EQ(stats.hits, 1u);
@@ -449,6 +508,101 @@ TEST(SimCache, MergeFromUnderCapacityEvictsStreamEntriesFirst)
     EXPECT_TRUE(cache.lookup(key(2), out)); // newest stream entry
     EXPECT_FALSE(cache.lookup(key(0), out));
     EXPECT_FALSE(cache.lookup(key(1), out));
+}
+
+namespace {
+
+/** A version-1 image as earlier builds wrote it: two entries, each
+ *  result followed by its per-op record (seven scalars per op). The
+ *  reader splits on any whitespace, so long records wrap here. */
+const char *const kVersion1Image = R"(tagu64 sim_cache 2
+1 2
+tagu64 key 3
+12345 5 7
+tag res 18
+0.33333333333333331 3500000000000 10500000000000 0.10000000000000001
+2000000000 725000000 1000000 6000000000 2175000000 0.20000000000000001
+0.029999999999999999 0.0040000000000000001 0.00050000000000000001
+6.0000000000000002e-05 0.29999999999999999 0.59999999999999998 175.5 58.5
+tagu64 res_meta 4
+1 136 40 1
+tag res_per_op 14
+0.125 0.125 0 1024 0 0 0 0.0625 0 0.0625 2048 512 0 1
+tagu64 key 2
+12345 9
+tag res 18
+0.5 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17
+tagu64 res_meta 4
+0 3 0 0
+tag res_per_op 0
+
+)";
+
+} // namespace
+
+TEST(SimCache, LoadsVersion1ImageAndDropsPerOpRecords)
+{
+    sim::SimCacheKey first{{5, 7}, 12345};
+    sim::SimCacheKey second{{9}, 12345};
+    sim::SimResult second_expected;
+    second_expected.stepTimeSec = 0.5;
+    second_expected.totalFlops = 1;
+    second_expected.achievedFlops = 2;
+    second_expected.operationalIntensity = 3;
+    second_expected.hbmBytes = 4;
+    second_expected.onChipBytes = 5;
+    second_expected.networkBytes = 6;
+    second_expected.hbmBandwidthUsed = 7;
+    second_expected.onChipBandwidthUsed = 8;
+    second_expected.tensorBusySec = 9;
+    second_expected.vpuBusySec = 10;
+    second_expected.hbmSec = 11;
+    second_expected.onChipSec = 12;
+    second_expected.networkSec = 13;
+    second_expected.criticalPathSec = 14;
+    second_expected.tensorUtilization = 15;
+    second_expected.avgPowerW = 16;
+    second_expected.energyPerStepJ = 17;
+    second_expected.boundBy = hw::BoundBy::TensorCompute;
+    second_expected.liveOps = 3;
+
+    sim::SimCache loaded(8);
+    std::istringstream is(kVersion1Image);
+    loaded.load(is);
+    sim::SimCache merged(8);
+    std::istringstream is2(kVersion1Image);
+    merged.mergeFrom(is2);
+
+    for (sim::SimCache *cache : {&loaded, &merged}) {
+        EXPECT_EQ(cache->stats().entries, 2u);
+        sim::SimResult out;
+        ASSERT_TRUE(cache->lookup(first, out));
+        expectSameBits(out, fullResult(), "first entry");
+        ASSERT_TRUE(cache->lookup(second, out));
+        expectSameBits(out, second_expected, "second entry");
+    }
+
+    // Saving writes version 2: the same entries, no per-op records.
+    std::ostringstream os;
+    loaded.save(os);
+    EXPECT_EQ(os.str().rfind("tagu64 sim_cache 2\n2 2\n", 0), 0u);
+    EXPECT_EQ(os.str().find("res_per_op"), std::string::npos);
+    sim::SimCache reloaded(8);
+    std::istringstream is3(os.str());
+    reloaded.load(is3);
+    sim::SimResult out;
+    ASSERT_TRUE(reloaded.lookup(first, out));
+    expectSameBits(out, fullResult(), "v2 round trip");
+}
+
+TEST(SimCache, RejectsMalformedVersion1PerOpRecord)
+{
+    std::string image = kVersion1Image;
+    image.replace(image.find("tag res_per_op 14"), 17, "tag res_per_op 13");
+    image.replace(image.find(" 1\ntagu64 key 2"), 2, "");
+    sim::SimCache cache(8);
+    std::istringstream is(image);
+    EXPECT_DEATH(cache.load(is), "malformed sim-cache per-op record");
 }
 
 TEST(SimCache, WarmAndMergedSaveFileHelpers)

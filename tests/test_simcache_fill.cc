@@ -64,17 +64,22 @@ expectIdentical(const sim::SimResult &a, const sim::SimResult &b,
     EXPECT_EQ(a.liveOps, b.liveOps) << what;
     EXPECT_EQ(a.fusedOps, b.fusedOps) << what;
     EXPECT_EQ(a.paramsResident, b.paramsResident) << what;
-    ASSERT_EQ(a.perOp.size(), b.perOp.size()) << what;
-    for (size_t j = 0; j < a.perOp.size(); ++j) {
-        EXPECT_EQ(a.perOp[j].seconds, b.perOp[j].seconds) << what;
-        EXPECT_EQ(a.perOp[j].tensorBusySec, b.perOp[j].tensorBusySec)
-            << what;
-        EXPECT_EQ(a.perOp[j].vpuBusySec, b.perOp[j].vpuBusySec) << what;
-        EXPECT_EQ(a.perOp[j].hbmBytes, b.perOp[j].hbmBytes) << what;
-        EXPECT_EQ(a.perOp[j].onChipBytes, b.perOp[j].onChipBytes) << what;
-        EXPECT_EQ(a.perOp[j].networkBytes, b.perOp[j].networkBytes)
-            << what;
-        EXPECT_EQ(a.perOp[j].boundBy, b.perOp[j].boundBy) << what;
+}
+
+/** Every per-op timing field, exact. */
+void
+expectIdentical(const std::vector<sim::OpTiming> &a,
+                const std::vector<sim::OpTiming> &b, const std::string &what)
+{
+    ASSERT_EQ(a.size(), b.size()) << what;
+    for (size_t j = 0; j < a.size(); ++j) {
+        EXPECT_EQ(a[j].seconds, b[j].seconds) << what;
+        EXPECT_EQ(a[j].tensorBusySec, b[j].tensorBusySec) << what;
+        EXPECT_EQ(a[j].vpuBusySec, b[j].vpuBusySec) << what;
+        EXPECT_EQ(a[j].hbmBytes, b[j].hbmBytes) << what;
+        EXPECT_EQ(a[j].onChipBytes, b[j].onChipBytes) << what;
+        EXPECT_EQ(a[j].networkBytes, b[j].networkBytes) << what;
+        EXPECT_EQ(a[j].boundBy, b[j].boundBy) << what;
     }
 }
 
@@ -82,6 +87,9 @@ expectIdentical(const sim::SimResult &a, const sim::SimResult &b,
 struct FillOutcome
 {
     std::vector<sim::SimResult> results;
+    /** Per-op timings the fill requested, by batch position (empty
+     *  where the position was a duplicate, not simulated). */
+    std::vector<std::vector<sim::OpTiming>> perOp;
     sim::SimCacheStats stats;
     std::string saved;
     uint64_t computedPositions = 0;
@@ -110,21 +118,22 @@ coldFill(size_t pool_threads, size_t fill_chunk)
         pool = std::make_unique<ex::ThreadPool>(pool_threads);
     std::atomic<uint64_t> positions{0};
     FillOutcome out;
+    // Each distinct miss position is computed by exactly one chunk, so
+    // workers write disjoint perOp slots.
+    out.perOp.resize(keys.size());
     out.results = cache.getOrComputeBatch(
         keys,
         [&](const std::vector<size_t> &misses) {
             positions.fetch_add(misses.size());
             sim::Simulator simulator(config);
-            std::vector<sim::Graph> graphs;
-            graphs.reserve(misses.size());
+            std::vector<sim::SimResult> results;
             for (size_t k : misses)
-                graphs.push_back(arch::buildDlrmGraph(
-                    space.decode(samples[k % 12]), platform,
-                    arch::ExecMode::Training));
-            std::vector<const sim::Graph *> ptrs;
-            for (const auto &g : graphs)
-                ptrs.push_back(&g);
-            return simulator.runBatch(ptrs);
+                results.push_back(simulator.run(
+                    arch::buildDlrmGraph(space.decode(samples[k % 12]),
+                                         platform,
+                                         arch::ExecMode::Training),
+                    &out.perOp[k]));
+            return results;
         },
         pool.get(), fill_chunk);
     out.computedPositions = positions.load();
@@ -146,6 +155,9 @@ TEST(SimCacheFill, ParallelFillBitIdenticalToSerial)
     EXPECT_EQ(serial.stats.misses, 24u);
     EXPECT_EQ(serial.stats.hits, 0u);
     EXPECT_EQ(serial.stats.entries, 12u);
+    // First occurrences were simulated; their duplicates were not.
+    for (size_t i = 0; i < 24; ++i)
+        EXPECT_EQ(serial.perOp[i].empty(), i >= 12) << "position " << i;
 
     for (size_t threads : {2u, 8u}) {
         FillOutcome par = coldFill(threads, /*chunk=*/3);
@@ -160,9 +172,12 @@ TEST(SimCacheFill, ParallelFillBitIdenticalToSerial)
         // of worker timing.
         EXPECT_EQ(par.saved, serial.saved) << tag;
         ASSERT_EQ(par.results.size(), serial.results.size()) << tag;
-        for (size_t i = 0; i < serial.results.size(); ++i)
+        for (size_t i = 0; i < serial.results.size(); ++i) {
             expectIdentical(par.results[i], serial.results[i],
                             tag + " position " + std::to_string(i));
+            expectIdentical(par.perOp[i], serial.perOp[i],
+                            tag + " per-op " + std::to_string(i));
+        }
     }
 }
 
@@ -178,9 +193,12 @@ TEST(SimCacheFill, ChunkSizeDoesNotChangeResultsOrImage)
         EXPECT_EQ(alt.computedPositions, base.computedPositions) << tag;
         EXPECT_EQ(alt.saved, base.saved) << tag;
         ASSERT_EQ(alt.results.size(), base.results.size()) << tag;
-        for (size_t i = 0; i < base.results.size(); ++i)
+        for (size_t i = 0; i < base.results.size(); ++i) {
             expectIdentical(alt.results[i], base.results[i],
                             tag + " position " + std::to_string(i));
+            expectIdentical(alt.perOp[i], base.perOp[i],
+                            tag + " per-op " + std::to_string(i));
+        }
     }
 }
 
